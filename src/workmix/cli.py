@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -116,6 +117,8 @@ def _require_keys(
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where} must be a finite number, got {value!r}")
     return value
 
 
@@ -444,7 +447,10 @@ def _lattice_from_dict(params: dict) -> dict:
         value = _as_int(merged[key], key)
         if value < 1:
             raise ValidationError(f"{key} must be >= 1, got {value}")
-    LatticeRun(merged).build_universe()  # surfaces invariant violations now
+    # Checks keys, types and ranges only.  The universe's own invariants (a
+    # negative saturating limit, duplicate or misshapen table data, gamma
+    # <= 0) surface when run_config builds it, still before anything is
+    # written, with the same message and exit code 1.
     return merged
 
 
@@ -453,7 +459,7 @@ _BUILDERS: dict[str, Callable[[dict], Any]] = {
     "replicator": lambda d: _replicator_from_dict(d),
     "boundary": lambda d: _boundary_from_dict(d),
     "sweep": lambda d: _sweep_from_dict(d),
-    "lattice": lambda d: LatticeRun(_lattice_from_dict(d)),
+    "lattice": LatticeRun,
 }
 
 _CANONICALIZERS: dict[str, Callable[[dict], dict]] = {

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import workmix.lattice
 from workmix import ChartError, ParseError, ValidationError
 from workmix.cli import (
     OutputSpec,
@@ -324,3 +325,112 @@ class TestMain:
         )
         assert main(["run", str(path), "--precision", "5"]) == 0
         assert "2026,0.18500\n" in capsys.readouterr().out
+
+
+_LATTICE_INVARIANT_ERRORS = [
+    (
+        {"family": "saturating", "n_tasks": 20,
+         "limit_intercept": 1.0, "limit_slope": 2.0},
+        "error: machine limit is negative at theta=0.5416726198054462; "
+        "the saturating schedule would decrease in t",
+    ),
+    (
+        {"family": "table", "thetas": [0.2, 0.2], "human_values": [1.0, 1.0],
+         "machine_rows": [[0.5, 0.2]]},
+        "error: table_universe requires distinct theta values",
+    ),
+    (
+        {"family": "table", "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],
+         "machine_rows": [[0.5, 0.2], [1.5]]},
+        "error: machine_rows[1] has 1 entries, expected 2",
+    ),
+    (
+        {"family": "linear", "n_tasks": 20, "gamma": 0},
+        "error: gamma must be positive, got 0",
+    ),
+    (
+        {"family": "saturating", "n_tasks": 20, "p": 0,
+         "limit_intercept": 1.0, "limit_slope": 0.5},
+        "error: beta shape parameters must be positive, got p=0, q=5.0",
+    ),
+]
+
+
+class TestLatticeInvariantErrors:
+    """Universe invariants fail the run with exit 1 and write nothing."""
+
+    @pytest.mark.parametrize(
+        "params,message", _LATTICE_INVARIANT_ERRORS,
+        ids=["negative-limit", "duplicate-thetas", "short-row", "zero-gamma", "zero-p"],
+    )
+    def test_run_exits_one_without_output(self, tmp_path, capsys, params, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "lattice", "params": params}))
+        target = tmp_path / "out.csv"
+        assert main(["run", str(path), "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not target.exists()
+
+
+class TestNonFiniteNumbers:
+    def test_scalar_nan_is_rejected_by_name(self, tmp_path, capsys):
+        params = dict(builtin_scenario("paper-boundary").params, alpha_h=float("nan"))
+        text = json.dumps({"model": "boundary", "params": params})
+        assert "NaN" in text
+        with pytest.raises(ValidationError, match="alpha_h"):
+            load_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha_h must be a finite number, got nan\n"
+
+    def test_list_infinity_is_rejected_by_index(self, tmp_path, capsys):
+        text = (
+            '{"model": "sweep", "params": {"p_values": [2.0], "q_values": [5],'
+            ' "gamma_values": [0.05, Infinity]}}'
+        )
+        with pytest.raises(ValidationError, match=r"gamma_values\[1\]"):
+            load_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: gamma_values[1] must be a finite number, got inf\n"
+        )
+
+    def test_lattice_and_negative_infinity(self):
+        with pytest.raises(ValidationError, match="limit_slope"):
+            load_config(
+                '{"model": "lattice", "params": {"family": "saturating",'
+                ' "limit_intercept": 1.0, "limit_slope": -Infinity}}'
+            )
+
+
+_LATTICE_CONFIGS = [
+    '{"model": "lattice", "params": {"family": "linear", "n_tasks": 40}}',
+    '{"model": "lattice", "params": {"family": "saturating", "n_tasks": 40,'
+    ' "limit_intercept": 3.0, "limit_slope": 1.0}}',
+]
+
+
+class TestLatticeBuildCount:
+    """Loading validates only; running builds the task universe once."""
+
+    @pytest.mark.parametrize("text", _LATTICE_CONFIGS, ids=["linear", "saturating"])
+    def test_quantiles_computed_once_per_run(self, monkeypatch, text):
+        calls = [0]
+        original = workmix.lattice.beta_quantile_thetas
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(workmix.lattice, "beta_quantile_thetas", counted)
+        config = load_config(text)
+        assert calls[0] == 0
+        run_config(config)
+        assert calls[0] == 1

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import workmix.numerics
 from workmix import (
     BetaShape,
     BracketError,
     DomainError,
+    WorkmixError,
+    beta_quantile_thetas,
     bisect_root,
     inv_reg_inc_beta,
     log_beta,
@@ -170,6 +173,115 @@ class TestInverse:
             inv_reg_inc_beta(-0.01, SHAPE_2_5)
         with pytest.raises(DomainError):
             inv_reg_inc_beta(1.01, SHAPE_2_5)
+
+
+def bisection_inverse(target, shape):
+    """Reference inverse: plain bisection of [0, 1] down to adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        value = reg_inc_beta(mid, shape)
+        if value == target:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+GRID_SHAPE_VALUES = (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 200.0, 1000.0)
+GRID_TARGETS = (
+    1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0 - 1e-6,
+)
+
+
+def grid_cases():
+    for p in GRID_SHAPE_VALUES:
+        for q in GRID_SHAPE_VALUES:
+            shape = BetaShape(p, q)
+            for target in GRID_TARGETS:
+                yield shape, target
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call bumps the returned counter."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestInverseAgainstBisection:
+    def test_residual_no_worse_than_bisection(self):
+        for shape, target in grid_cases():
+            try:
+                reference = bisection_inverse(target, shape)
+            except WorkmixError:
+                continue
+            x = inv_reg_inc_beta(target, shape)
+            assert abs(reg_inc_beta(x, shape) - target) <= abs(
+                reg_inc_beta(reference, shape) - target
+            ) + 4 * 2.0**-52, (shape, target, x, reference)
+
+    def test_same_double_as_bisection_on_model_shapes(self):
+        for p, q in [(2.0, 5.0), (5.0, 2.0), (0.5, 0.5), (1.5, 5.0)]:
+            shape = BetaShape(p, q)
+            for i in range(200):
+                target = (i + 0.5) / 200
+                assert inv_reg_inc_beta(target, shape) == bisection_inverse(
+                    target, shape
+                ), (p, q, target)
+
+    def test_density_overflow_takes_the_midpoint(self):
+        # Here the starting guess is below 1e-320, where the Beta(1e-3, 1e-3)
+        # density overflows a double, so no Halley step can be taken.
+        shape = BetaShape(1e-3, 1e-3)
+        for target in (0.238, 0.2385, 0.239):
+            assert inv_reg_inc_beta(target, shape) == bisection_inverse(target, shape)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for shape, target in grid_cases():
+            x = inv_reg_inc_beta(target, shape)
+            exact = float(mpmath.betainc(shape.p, shape.q, 0, x, regularized=True))
+            # In steep tails (p or q <= 0.1, or x within a few ulps of 0 or
+            # 1) the CDF jumps past the target between adjacent doubles, so
+            # no double does better than the computed residual; the
+            # bisection test above pins that residual.
+            floor = abs(reg_inc_beta(x, shape) - target)
+            assert abs(exact - target) <= 1e-12 + floor, (shape, target, x)
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (5, 2), (0.5, 0.5), (20, 0.5)])
+    def test_dense_quantiles_strictly_increase(self, p, q):
+        thetas = beta_quantile_thetas(10_000, BetaShape(p, q))
+        assert all(a < b for a, b in zip(thetas, thetas[1:]))
+
+
+class TestWorkCounts:
+    def test_log_beta_once_per_shape(self, monkeypatch):
+        calls = count_calls(monkeypatch, workmix.numerics, "log_beta")
+        shape = BetaShape(2.0, 5.0)
+        assert calls[0] == 1
+        for i in range(1, 10):
+            reg_inc_beta(i / 10, shape)
+        inv_reg_inc_beta(0.3, shape)
+        assert calls[0] == 1
+        assert shape.log_beta == log_beta(2.0, 5.0)
+        assert shape == BetaShape(2.0, 5.0)
+        assert repr(shape) == "BetaShape(p=2.0, q=5.0)"
+
+    def test_cdf_evaluations_per_quantile(self, monkeypatch):
+        shape = BetaShape(2.0, 5.0)
+        calls = count_calls(monkeypatch, workmix.numerics, "reg_inc_beta")
+        beta_quantile_thetas(400, shape)
+        assert calls[0] / 400 <= 10
 
 
 class TestQuadratureOracle:
