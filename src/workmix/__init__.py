@@ -59,7 +59,6 @@ from .lattice import (
     TaskUniverse,
     beta_quantile_thetas,
     check_capability_growth,
-    check_isotone,
     delegation_map,
     fixed_point_oracle,
     linear_universe,
@@ -146,7 +145,6 @@ __all__ = [
     "delegation_map",
     "fixed_point_oracle",
     "run_delegation",
-    "check_isotone",
     "check_capability_growth",
     "beta_quantile_thetas",
     "linear_universe",

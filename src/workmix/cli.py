@@ -12,6 +12,10 @@ Subcommands:
 Exit codes: 0 success, 1 configuration/validation problem, 2 runtime
 failure.  Data goes to stdout or ``--out``; diagnostics go to stderr.  All
 output is deterministic: identical inputs produce identical bytes.
+
+Everything the CLI knows about a model (its params schema, how to build and
+run it, its CSV rows, its charts and its builtin scenario) lives in one
+``_ModelSpec``; the functions below look the spec up by model name.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import aggregate as agg
 from . import boundary as bnd
@@ -53,17 +57,7 @@ __all__ = [
     "main",
 ]
 
-_MODELS = ("aggregate", "replicator", "boundary", "lattice", "sweep")
-_CHARTS = ("line", "multi-line", "heatmap")
 _DEFAULT_DIMENSIONS = (720.0, 480.0)
-
-_DEFAULT_CHART = {
-    "aggregate": "line",
-    "replicator": "multi-line",
-    "boundary": "line",
-    "lattice": "line",
-    "sweep": "heatmap",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -94,494 +88,8 @@ class ScenarioConfig:
 
     def build(self) -> Any:
         """Construct the typed parameter object for this model."""
-        return _BUILDERS[self.model](self.params)
+        return _SPECS[self.model].build(self.params)
 
-
-def _require_keys(
-    block: dict, where: str, required: dict[str, type], optional: dict[str, Any]
-) -> dict:
-    """Strict key validation: every unknown key is an error, named."""
-    if not isinstance(block, dict):
-        raise ValidationError(f"{where} must be an object, got {type(block).__name__}")
-    for key in block:
-        if key not in required and key not in optional:
-            raise ValidationError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in block:
-            raise ValidationError(f"missing required key {key!r} in {where}")
-    merged = dict(optional)
-    merged.update(block)
-    return merged
-
-
-def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{where} must be a finite number, got {value!r}")
-    return value
-
-
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number_list(value: Any, where: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{where} must be a non-empty list of numbers")
-    return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
-
-
-# --- aggregate -------------------------------------------------------------
-
-def _aggregate_from_dict(params: dict) -> tuple[agg.AggregateParams, int]:
-    merged = _require_keys(
-        params,
-        "aggregate params",
-        required={"alpha": float, "beta": float, "x0": float},
-        optional={"start_year": 2025, "horizon_years": 20},
-    )
-    bundle = agg.AggregateParams(
-        alpha=_as_number(merged["alpha"], "alpha"),
-        beta=_as_number(merged["beta"], "beta"),
-        x0=_as_number(merged["x0"], "x0"),
-        start_year=_as_int(merged["start_year"], "start_year"),
-    )
-    horizon = _as_int(merged["horizon_years"], "horizon_years")
-    if horizon < 1:
-        raise ValidationError(f"horizon_years must be >= 1, got {horizon}")
-    return bundle, horizon
-
-
-def _aggregate_to_dict(bundle: agg.AggregateParams, horizon: int) -> dict:
-    return {
-        "alpha": bundle.alpha,
-        "beta": bundle.beta,
-        "x0": bundle.x0,
-        "start_year": bundle.start_year,
-        "horizon_years": horizon,
-    }
-
-
-# --- replicator ------------------------------------------------------------
-
-_CATEGORY_KEYS = {
-    "x0": float,
-    "machine_intercept": float,
-    "machine_growth": float,
-    "human_payoff": float,
-}
-
-
-def _category_from_dict(block: dict, where: str) -> rep.CategoryParams:
-    merged = _require_keys(block, where, required=_CATEGORY_KEYS, optional={})
-    return rep.CategoryParams(
-        x0=_as_number(merged["x0"], f"{where}.x0"),
-        machine_intercept=_as_number(
-            merged["machine_intercept"], f"{where}.machine_intercept"
-        ),
-        machine_growth=_as_number(
-            merged["machine_growth"], f"{where}.machine_growth"
-        ),
-        human_payoff=_as_number(merged["human_payoff"], f"{where}.human_payoff"),
-    )
-
-
-def _replicator_from_dict(params: dict) -> tuple[rep.ReplicatorParams, int]:
-    merged = _require_keys(
-        params,
-        "replicator params",
-        required={"routine": dict, "complex": dict, "sensitivity": float, "w_routine": float},
-        optional={"start_year": 2025, "horizon_years": 20},
-    )
-    bundle = rep.ReplicatorParams(
-        routine=_category_from_dict(merged["routine"], "replicator params.routine"),
-        complex=_category_from_dict(merged["complex"], "replicator params.complex"),
-        sensitivity=_as_number(merged["sensitivity"], "sensitivity"),
-        w_routine=_as_number(merged["w_routine"], "w_routine"),
-        start_year=_as_int(merged["start_year"], "start_year"),
-    )
-    horizon = _as_int(merged["horizon_years"], "horizon_years")
-    if horizon < 1:
-        raise ValidationError(f"horizon_years must be >= 1, got {horizon}")
-    return bundle, horizon
-
-
-def _category_to_dict(cat: rep.CategoryParams) -> dict:
-    return {
-        "x0": cat.x0,
-        "machine_intercept": cat.machine_intercept,
-        "machine_growth": cat.machine_growth,
-        "human_payoff": cat.human_payoff,
-    }
-
-
-def _replicator_to_dict(bundle: rep.ReplicatorParams, horizon: int) -> dict:
-    return {
-        "routine": _category_to_dict(bundle.routine),
-        "complex": _category_to_dict(bundle.complex),
-        "sensitivity": bundle.sensitivity,
-        "w_routine": bundle.w_routine,
-        "start_year": bundle.start_year,
-        "horizon_years": horizon,
-    }
-
-
-# --- boundary --------------------------------------------------------------
-
-def _boundary_from_dict(params: dict) -> tuple[bnd.ContinuousParams, int]:
-    merged = _require_keys(
-        params,
-        "boundary params",
-        required={
-            "alpha_h": float,
-            "beta_h": float,
-            "alpha_m": float,
-            "beta_m": float,
-            "gamma": float,
-            "p": float,
-            "q": float,
-        },
-        optional={"start_year": 2025, "horizon_years": 20},
-    )
-    bundle = bnd.ContinuousParams(
-        alpha_h=_as_number(merged["alpha_h"], "alpha_h"),
-        beta_h=_as_number(merged["beta_h"], "beta_h"),
-        alpha_m=_as_number(merged["alpha_m"], "alpha_m"),
-        beta_m=_as_number(merged["beta_m"], "beta_m"),
-        gamma=_as_number(merged["gamma"], "gamma"),
-        shape=BetaShape(
-            _as_number(merged["p"], "p"), _as_number(merged["q"], "q")
-        ),
-        start_year=_as_int(merged["start_year"], "start_year"),
-    )
-    horizon = _as_int(merged["horizon_years"], "horizon_years")
-    if horizon < 0:
-        raise ValidationError(f"horizon_years must be >= 0, got {horizon}")
-    return bundle, horizon
-
-
-def _boundary_to_dict(bundle: bnd.ContinuousParams, horizon: int) -> dict:
-    return {
-        "alpha_h": bundle.alpha_h,
-        "beta_h": bundle.beta_h,
-        "alpha_m": bundle.alpha_m,
-        "beta_m": bundle.beta_m,
-        "gamma": bundle.gamma,
-        "p": bundle.shape.p,
-        "q": bundle.shape.q,
-        "start_year": bundle.start_year,
-        "horizon_years": horizon,
-    }
-
-
-# --- sweep -----------------------------------------------------------------
-
-def _sweep_from_dict(params: dict) -> swp.GridSpec:
-    merged = _require_keys(
-        params,
-        "sweep params",
-        required={
-            "p_values": list,
-            "q_values": list,
-            "gamma_values": list,
-        },
-        optional={
-            "horizon_years": 20,
-            "initial_share_target": 0.10,
-            "alpha_h": 1.0,
-            "beta_h": 1.5,
-            "beta_m": 2.5,
-            "start_year": 2025,
-        },
-    )
-    return swp.GridSpec(
-        p_values=tuple(_as_number_list(merged["p_values"], "p_values")),
-        q_values=tuple(_as_number_list(merged["q_values"], "q_values")),
-        gamma_values=tuple(_as_number_list(merged["gamma_values"], "gamma_values")),
-        horizon_years=_as_int(merged["horizon_years"], "horizon_years"),
-        initial_share_target=_as_number(
-            merged["initial_share_target"], "initial_share_target"
-        ),
-        alpha_h=_as_number(merged["alpha_h"], "alpha_h"),
-        beta_h=_as_number(merged["beta_h"], "beta_h"),
-        beta_m=_as_number(merged["beta_m"], "beta_m"),
-        start_year=_as_int(merged["start_year"], "start_year"),
-    )
-
-
-def _sweep_to_dict(grid: swp.GridSpec) -> dict:
-    return {
-        "p_values": list(grid.p_values),
-        "q_values": list(grid.q_values),
-        "gamma_values": list(grid.gamma_values),
-        "horizon_years": grid.horizon_years,
-        "initial_share_target": grid.initial_share_target,
-        "alpha_h": grid.alpha_h,
-        "beta_h": grid.beta_h,
-        "beta_m": grid.beta_m,
-        "start_year": grid.start_year,
-    }
-
-
-# --- lattice ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatticeRun:
-    """A lattice scenario: the universe recipe plus iteration controls."""
-
-    params: dict
-
-    def build_universe(self) -> lat.TaskUniverse:
-        p = self.params
-        family = p["family"]
-        if family == "linear":
-            thetas = lat.beta_quantile_thetas(
-                p["n_tasks"], BetaShape(p["p"], p["q"])
-            )
-            return lat.linear_universe(
-                thetas, p["alpha_h"], p["beta_h"], p["alpha_m"], p["beta_m"], p["gamma"]
-            )
-        if family == "saturating":
-            thetas = lat.beta_quantile_thetas(
-                p["n_tasks"], BetaShape(p["p"], p["q"])
-            )
-            alpha_h, beta_h = p["alpha_h"], p["beta_h"]
-            intercept, slope = p["limit_intercept"], p["limit_slope"]
-            return lat.saturating_universe(
-                thetas,
-                lambda theta: alpha_h + beta_h * theta,
-                lambda theta: intercept - slope * theta,
-            )
-        return lat.table_universe(p["thetas"], p["human_values"], p["machine_rows"])
-
-    @property
-    def max_years(self) -> int:
-        return self.params["max_years"]
-
-    @property
-    def stability_window(self) -> int:
-        return self.params["stability_window"]
-
-
-def _lattice_from_dict(params: dict) -> dict:
-    if not isinstance(params, dict):
-        raise ValidationError("lattice params must be an object")
-    family = params.get("family")
-    if family not in ("linear", "saturating", "table"):
-        raise ValidationError(
-            "lattice params require family 'linear', 'saturating', or 'table', "
-            f"got {family!r}"
-        )
-    controls = {"max_years": 60, "stability_window": 3}
-    if family == "linear":
-        merged = _require_keys(
-            params,
-            "lattice params",
-            required={"family": str},
-            optional={
-                "n_tasks": 1000,
-                "p": 2.0,
-                "q": 5.0,
-                "alpha_h": 1.0,
-                "beta_h": 1.5,
-                "alpha_m": 1.3704,
-                "beta_m": 2.5,
-                "gamma": 0.04336,
-                **controls,
-            },
-        )
-        for key in ("p", "q", "alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"):
-            merged[key] = _as_number(merged[key], key)
-    elif family == "saturating":
-        merged = _require_keys(
-            params,
-            "lattice params",
-            required={
-                "family": str,
-                "limit_intercept": float,
-                "limit_slope": float,
-            },
-            optional={
-                "n_tasks": 1000,
-                "p": 2.0,
-                "q": 5.0,
-                "alpha_h": 1.0,
-                "beta_h": 1.5,
-                **controls,
-            },
-        )
-        for key in (
-            "p", "q", "alpha_h", "beta_h", "limit_intercept", "limit_slope"
-        ):
-            merged[key] = _as_number(merged[key], key)
-    else:
-        merged = _require_keys(
-            params,
-            "lattice params",
-            required={
-                "family": str,
-                "thetas": list,
-                "human_values": list,
-                "machine_rows": list,
-            },
-            optional=dict(controls),
-        )
-        merged["thetas"] = _as_number_list(merged["thetas"], "thetas")
-        merged["human_values"] = _as_number_list(
-            merged["human_values"], "human_values"
-        )
-        if not isinstance(merged["machine_rows"], list) or not merged["machine_rows"]:
-            raise ValidationError("machine_rows must be a non-empty list of rows")
-        merged["machine_rows"] = [
-            _as_number_list(row, f"machine_rows[{i}]")
-            for i, row in enumerate(merged["machine_rows"])
-        ]
-    if "n_tasks" in merged:
-        n_tasks = _as_int(merged["n_tasks"], "n_tasks")
-        if n_tasks < 1:
-            raise ValidationError(f"n_tasks must be >= 1, got {n_tasks}")
-    for key in ("max_years", "stability_window"):
-        value = _as_int(merged[key], key)
-        if value < 1:
-            raise ValidationError(f"{key} must be >= 1, got {value}")
-    # Checks keys, types and ranges only.  The universe's own invariants (a
-    # negative saturating limit, duplicate or misshapen table data, gamma
-    # <= 0) surface when run_config builds it, still before anything is
-    # written, with the same message and exit code 1.
-    return merged
-
-
-_BUILDERS: dict[str, Callable[[dict], Any]] = {
-    "aggregate": lambda d: _aggregate_from_dict(d),
-    "replicator": lambda d: _replicator_from_dict(d),
-    "boundary": lambda d: _boundary_from_dict(d),
-    "sweep": lambda d: _sweep_from_dict(d),
-    "lattice": LatticeRun,
-}
-
-_CANONICALIZERS: dict[str, Callable[[dict], dict]] = {
-    "aggregate": lambda d: _aggregate_to_dict(*_aggregate_from_dict(d)),
-    "replicator": lambda d: _replicator_to_dict(*_replicator_from_dict(d)),
-    "boundary": lambda d: _boundary_to_dict(*_boundary_from_dict(d)),
-    "sweep": lambda d: _sweep_to_dict(_sweep_from_dict(d)),
-    "lattice": lambda d: _lattice_from_dict(d),
-}
-
-
-# ---------------------------------------------------------------------------
-# Builtin scenarios
-# ---------------------------------------------------------------------------
-
-_BUILTINS: dict[str, tuple[str, Callable[[], dict]]] = {
-    "paper-aggregate": (
-        "aggregate",
-        lambda: _aggregate_to_dict(agg.DEFAULT_AGGREGATE, 20),
-    ),
-    "paper-replicator": (
-        "replicator",
-        lambda: _replicator_to_dict(rep.DEFAULT_REPLICATOR, 20),
-    ),
-    "paper-boundary": (
-        "boundary",
-        lambda: _boundary_to_dict(bnd.DEFAULT_BOUNDARY, 20),
-    ),
-    "paper-grid": ("sweep", lambda: _sweep_to_dict(swp.DEFAULT_GRID)),
-}
-
-
-def scenario_names() -> list[str]:
-    return list(_BUILTINS)
-
-
-def builtin_scenario(name: str) -> ScenarioConfig:
-    """Expand a builtin scenario name into a full configuration."""
-    if name not in _BUILTINS:
-        known = ", ".join(_BUILTINS)
-        raise ValidationError(f"unknown scenario {name!r} (builtins: {known})")
-    model, params_fn = _BUILTINS[name]
-    return ScenarioConfig(model=model, params=params_fn())
-
-
-# ---------------------------------------------------------------------------
-# Config loading
-# ---------------------------------------------------------------------------
-
-def _output_from_dict(block: dict) -> OutputSpec:
-    merged = _require_keys(
-        block,
-        "output",
-        required={},
-        optional={"format": "csv", "path": None, "precision": 6},
-    )
-    fmt = merged["format"]
-    if fmt not in ("csv", "svg"):
-        raise ValidationError(f"output.format must be 'csv' or 'svg', got {fmt!r}")
-    precision = _as_int(merged["precision"], "output.precision")
-    if not 0 <= precision <= 17:
-        raise ValidationError(
-            f"output.precision must lie in [0, 17], got {precision}"
-        )
-    path = merged["path"]
-    if path is not None and not isinstance(path, str):
-        raise ValidationError(f"output.path must be a string, got {path!r}")
-    return OutputSpec(format=fmt, path=path, precision=precision)
-
-
-def load_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario document.
-
-    The document needs a ``model`` plus either a ``scenario`` name (expanded
-    to its builtin parameters) or an explicit ``params`` block; an optional
-    ``output`` block selects format, path, and precision.  Unknown keys
-    anywhere are hard errors.
-    """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(document, dict):
-        raise ValidationError("config must be a JSON object at top level")
-    merged = _require_keys(
-        document,
-        "config",
-        required={"model": str},
-        optional={"scenario": None, "params": None, "output": None},
-    )
-    model = merged["model"]
-    if model not in _MODELS:
-        raise ValidationError(
-            f"unknown model {model!r} (expected one of {', '.join(_MODELS)})"
-        )
-    scenario = merged["scenario"]
-    params = merged["params"]
-    if (scenario is None) == (params is None):
-        raise ValidationError(
-            "config must provide exactly one of 'scenario' or 'params'"
-        )
-    if scenario is not None:
-        if not isinstance(scenario, str):
-            raise ValidationError(f"scenario must be a string, got {scenario!r}")
-        config = builtin_scenario(scenario)
-        if config.model != model:
-            raise ValidationError(
-                f"scenario {scenario!r} belongs to model {config.model!r}, "
-                f"config says {model!r}"
-            )
-        canonical = config.params
-    else:
-        canonical = _CANONICALIZERS[model](params)
-    output = OutputSpec() if merged["output"] is None else _output_from_dict(merged["output"])
-    return ScenarioConfig(model=model, params=canonical, output=output)
-
-
-# ---------------------------------------------------------------------------
-# Running and emitting
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RunResult:
@@ -592,81 +100,258 @@ class RunResult:
     config: ScenarioConfig | None = None
 
 
-def run_config(config: ScenarioConfig) -> RunResult:
-    """Execute the configured scenario and wrap its output."""
-    if config.model == "aggregate":
-        params, horizon = config.build()
-        data: Any = agg.simulate(params, horizon)
-    elif config.model == "replicator":
-        params, horizon = config.build()
-        data = rep.simulate_replicator(params, horizon)
-    elif config.model == "boundary":
-        params, horizon = config.build()
-        data = bnd.simulate_boundary(params, horizon)
-    elif config.model == "sweep":
-        data = swp.run_grid(config.build())
-    else:
-        run: LatticeRun = config.build()
-        universe = run.build_universe()
-        trace = lat.run_delegation(
-            universe, run.max_years, run.stability_window
-        )
-        data = (trace, len(universe))
-    return RunResult(model=config.model, data=data, config=config)
+# ---------------------------------------------------------------------------
+# Params schemas
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
 
 
-def _axis_value(value: Any) -> str:
-    """Render a sweep axis value exactly as configured (5 stays 5, 2.0 stays 2.0)."""
-    return repr(value)
+@dataclass(frozen=True)
+class _Key:
+    """One params key.
 
-
-def emit_csv(result: RunResult, precision: int = 6) -> str:
-    """Render a run as CSV with fixed-precision decimals.
-
-    Headers are fixed per model; every row ends with a newline and carries
-    no trailing whitespace, so output is byte-identical across runs.
+    ``kind`` is a checker ``(value, label) -> value`` or, for a nested
+    object, a tuple of keys.  ``attr`` is the key's attribute path on the
+    model's typed object where it differs from the name; builtins are read
+    from the ``DEFAULT_*`` objects through it.
     """
-    if precision < 0:
-        raise ValidationError(f"precision must be >= 0, got {precision}")
 
-    def num(value: float) -> str:
-        return f"{value:.{precision}f}"
+    name: str
+    kind: Any
+    default: Any = _REQUIRED
+    minimum: int | None = None
+    attr: str | None = None
 
-    rows: list[str]
-    if result.model == "aggregate":
-        rows = ["year,share"]
-        rows += [f"{p.year},{num(p.share)}" for p in result.data]
-    elif result.model == "replicator":
-        rows = ["year,x_routine,x_complex,x_total"]
-        rows += [
-            f"{p.year},{num(p.x_routine)},{num(p.x_complex)},{num(p.x_total)}"
-            for p in result.data
-        ]
-    elif result.model == "boundary":
-        rows = ["year,theta,share"]
-        rows += [f"{p.year},{num(p.theta)},{num(p.share)}" for p in result.data]
-    elif result.model == "sweep":
-        rows = ["p,q,gamma,alpha_M,final_share,cross50_year"]
-        for cell in result.data:
-            year = "" if cell.cross50_year is None else str(cell.cross50_year)
-            rows.append(
-                f"{_axis_value(cell.p)},{_axis_value(cell.q)},"
-                f"{_axis_value(cell.gamma)},{num(cell.alpha_m_used)},"
-                f"{num(cell.final_share)},{year}"
+
+def _unchecked(value: Any, label: str) -> Any:
+    return value
+
+
+def _as_number(value: Any, label: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{label} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{label} must be a finite number, got {value!r}")
+    return value
+
+
+def _as_int(value: Any, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
+def _as_number_list(value: Any, label: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{label} must be a non-empty list of numbers")
+    return [_as_number(v, f"{label}[{i}]") for i, v in enumerate(value)]
+
+
+def _as_rows(value: Any, label: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{label} must be a non-empty list of rows")
+    return [_as_number_list(row, f"{label}[{i}]") for i, row in enumerate(value)]
+
+
+def _check(block: Any, where: str, keys: tuple[_Key, ...], prefix: str = "") -> dict:
+    """Strictly check ``block`` against ``keys``; return the merged dict.
+
+    Every unknown key is an error, named, and so is every missing required
+    key.  Defaults fill the rest; then each value passes its kind and its
+    minimum.  Key errors name the block (``where``); value errors name the
+    key, after ``prefix``.
+    """
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be an object, got {type(block).__name__}")
+    names = {key.name for key in keys}
+    for name in block:
+        if name not in names:
+            raise ValidationError(f"unknown key {name!r} in {where}")
+    for key in keys:
+        if key.default is _REQUIRED and key.name not in block:
+            raise ValidationError(f"missing required key {key.name!r} in {where}")
+    checked = {}
+    for key in keys:
+        value = block.get(key.name, key.default)
+        label = prefix + key.name
+        if isinstance(key.kind, tuple):
+            inner = f"{where}.{key.name}"
+            value = _check(value, inner, key.kind, inner + ".")
+        else:
+            value = key.kind(value, label)
+        if key.minimum is not None and value < key.minimum:
+            raise ValidationError(f"{label} must be >= {key.minimum}, got {value}")
+        checked[key.name] = value
+    return checked
+
+
+def _read(obj: Any, keys: tuple[_Key, ...]) -> dict:
+    """Canonical params of a typed object, read through ``keys``."""
+    params = {}
+    for key in keys:
+        value = obj
+        for attr in (key.attr or key.name).split("."):
+            value = getattr(value, attr, key.default)
+        if isinstance(key.kind, tuple):
+            value = _read(value, key.kind)
+        elif isinstance(value, tuple):
+            value = list(value)
+        params[key.name] = value
+    return params
+
+
+def _keys(kind: Any, *required: str, **optional: Any) -> tuple[_Key, ...]:
+    """Keys of one kind: the required ones by name, then the optional ones."""
+    return tuple(_Key(name, kind) for name in required) + tuple(
+        _Key(name, kind, default) for name, default in optional.items()
+    )
+
+
+_START_YEAR = _Key("start_year", _as_int, 2025)
+_HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, 20, minimum=1))
+_CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "human_payoff")
+
+_LATTICE_SHAPE = (
+    _Key("n_tasks", _as_int, 1000, minimum=1),
+    *_keys(_as_number, p=2.0, q=5.0, alpha_h=1.0, beta_h=1.5),
+)
+_LATTICE_CONTROLS = (
+    _Key("max_years", _as_int, 60, minimum=1),
+    _Key("stability_window", _as_int, 3, minimum=1),
+)
+_LATTICE_FAMILIES = {
+    "linear": (
+        *_LATTICE_SHAPE,
+        *_keys(_as_number, alpha_m=1.3704, beta_m=2.5, gamma=0.04336),
+        *_LATTICE_CONTROLS,
+    ),
+    "saturating": (
+        *_keys(_as_number, "limit_intercept", "limit_slope"),
+        *_LATTICE_SHAPE,
+        *_LATTICE_CONTROLS,
+    ),
+    "table": (
+        *_keys(_as_number_list, "thetas", "human_values"),
+        _Key("machine_rows", _as_rows),
+        *_LATTICE_CONTROLS,
+    ),
+}
+
+
+def _lattice_params(params: Any) -> dict:
+    """Check keys, types and ranges of a lattice block for its family.
+
+    Builds nothing: the universe's own invariants (a negative saturating
+    limit, duplicate or misshapen table data, gamma <= 0) surface when
+    run_config builds it, still before anything is written, with exit 1.
+    """
+    if not isinstance(params, dict):
+        raise ValidationError("lattice params must be an object")
+    family = params.get("family")
+    if family not in _LATTICE_FAMILIES:
+        raise ValidationError(
+            "lattice params require family 'linear', 'saturating', or 'table', "
+            f"got {family!r}"
+        )
+    rest = {key: value for key, value in params.items() if key != "family"}
+    return {"family": family, **_check(rest, "lattice params", _LATTICE_FAMILIES[family])}
+
+
+# ---------------------------------------------------------------------------
+# Building and running
+# ---------------------------------------------------------------------------
+
+def _with_horizon(make: Callable[..., Any]) -> Callable[[dict], tuple[Any, int]]:
+    """Build a trajectory model as (typed params, horizon_years)."""
+    return lambda params: (
+        make(**{key: v for key, v in params.items() if key != "horizon_years"}),
+        params["horizon_years"],
+    )
+
+
+@dataclass(frozen=True)
+class LatticeRun:
+    """A lattice scenario: the universe recipe plus iteration controls."""
+
+    params: dict
+
+    def build_universe(self) -> lat.TaskUniverse:
+        p = self.params
+        if p["family"] == "table":
+            return lat.table_universe(p["thetas"], p["human_values"], p["machine_rows"])
+        thetas = lat.beta_quantile_thetas(p["n_tasks"], BetaShape(p["p"], p["q"]))
+        if p["family"] == "linear":
+            return lat.linear_universe(
+                thetas, p["alpha_h"], p["beta_h"], p["alpha_m"], p["beta_m"], p["gamma"]
             )
-    elif result.model == "lattice":
-        trace, n_tasks = result.data
-        rows = ["t,automated_count,share"]
-        for t, allocation in enumerate(trace.iterations):
-            rows.append(
-                f"{t},{len(allocation.automated)},{num(allocation.fraction(n_tasks))}"
-            )
-    else:
-        raise ValidationError(f"unknown model {result.model!r}")
-    return "\n".join(rows) + "\n"
+        alpha_h, beta_h = p["alpha_h"], p["beta_h"]
+        intercept, slope = p["limit_intercept"], p["limit_slope"]
+        return lat.saturating_universe(
+            thetas,
+            lambda theta: alpha_h + beta_h * theta,
+            lambda theta: intercept - slope * theta,
+        )
+
+
+def _run_lattice(run: LatticeRun) -> tuple[lat.DelegationTrace, int]:
+    universe = run.build_universe()
+    controls = run.params
+    trace = lat.run_delegation(universe, controls["max_years"], controls["stability_window"])
+    return trace, len(universe)
+
+
+# ---------------------------------------------------------------------------
+# CSV rows and charts
+# ---------------------------------------------------------------------------
+
+def _sweep_rows(cells: Any, num: Callable[[float], str]) -> Iterable[str]:
+    for cell in cells:
+        year = "" if cell.cross50_year is None else str(cell.cross50_year)
+        # Axis values render exactly as configured (5 stays 5, 2.0 stays 2.0).
+        yield (
+            f"{cell.p!r},{cell.q!r},{cell.gamma!r},{num(cell.alpha_m_used)},"
+            f"{num(cell.final_share)},{year}"
+        )
+
+
+def _lattice_rows(data: Any, num: Callable[[float], str]) -> Iterable[str]:
+    trace, n_tasks = data
+    for t, allocation in enumerate(trace.iterations):
+        yield f"{t},{len(allocation.automated)},{num(allocation.fraction(n_tasks))}"
+
+
+def _share_line(result: RunResult, dimensions: tuple[float, float]) -> str:
+    points = [(float(p.year), p.share) for p in result.data]
+    return svgplot.line_chart(
+        points, dimensions[0], dimensions[1], x_label="year", y_label="share"
+    )
+
+
+def _replicator_lines(result: RunResult, dimensions: tuple[float, float]) -> str:
+    series = [
+        ("routine", [(float(p.year), p.x_routine) for p in result.data]),
+        ("complex", [(float(p.year), p.x_complex) for p in result.data]),
+        ("total", [(float(p.year), p.x_total) for p in result.data]),
+    ]
+    return svgplot.multi_line_chart(
+        series, dimensions[0], dimensions[1], x_label="year", y_label="share"
+    )
+
+
+def _lattice_line(result: RunResult, dimensions: tuple[float, float]) -> str:
+    trace, n_tasks = result.data
+    points = [
+        (float(t), allocation.fraction(n_tasks))
+        for t, allocation in enumerate(trace.iterations)
+    ]
+    return svgplot.line_chart(
+        points, dimensions[0], dimensions[1], x_label="t", y_label="share"
+    )
 
 
 def _boundary_heatmap(result: RunResult, dimensions: tuple[float, float]) -> str:
+    """Payoff advantage over (year, theta), with the boundary overlaid."""
     params, horizon = result.config.build()
     years = [params.start_year + t for t in range(horizon + 1)]
     thetas = [round(0.1 * j, 10) for j in range(11)]
@@ -711,6 +396,241 @@ def _sweep_heatmap(result: RunResult, dimensions: tuple[float, float]) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# The model registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _ModelSpec:
+    """Everything the CLI knows about one model.
+
+    ``keys`` is the params schema (``check`` replaces it where the schema
+    depends on a value, as the lattice's does on its family).  ``build``
+    turns canonical params into what ``run`` takes; ``load_config`` calls it
+    too, so a typed constructor's error surfaces at load time.  ``rows``
+    renders the run's data under ``header``.  ``charts`` maps each chart
+    kind the model allows to its renderer, the default first.  ``builtin``
+    names a scenario and the ``DEFAULT_*`` object its params are read from.
+    """
+
+    name: str
+    keys: tuple[_Key, ...]
+    build: Callable[[dict], Any]
+    run: Callable[[Any], Any]
+    header: str
+    rows: Callable[[Any, Callable[[float], str]], Iterable[str]]
+    charts: dict[str, Callable[[RunResult, tuple[float, float]], str]]
+    builtin: tuple[str, Any] | None = None
+    check: Callable[[Any], dict] | None = None
+
+    def canonical(self, params: Any) -> dict:
+        if self.check is not None:
+            return self.check(params)
+        return _check(params, f"{self.name} params", self.keys)
+
+
+# The run lambdas look each model function up when called, so a function
+# replaced on its module (by a test or a tracer) is the one that runs.
+_SPECS = {
+    spec.name: spec
+    for spec in (
+        _ModelSpec(
+            name="aggregate",
+            keys=(*_keys(_as_number, "alpha", "beta", "x0"), *_HORIZON),
+            build=_with_horizon(agg.AggregateParams),
+            run=lambda built: agg.simulate(*built),
+            header="year,share",
+            rows=lambda data, num: (f"{p.year},{num(p.share)}" for p in data),
+            charts={"line": _share_line},
+            builtin=("paper-aggregate", agg.DEFAULT_AGGREGATE),
+        ),
+        _ModelSpec(
+            name="replicator",
+            keys=(
+                _Key("routine", _CATEGORY),
+                _Key("complex", _CATEGORY),
+                *_keys(_as_number, "sensitivity", "w_routine"),
+                *_HORIZON,
+            ),
+            build=_with_horizon(
+                lambda routine, complex, **rest: rep.ReplicatorParams(
+                    rep.CategoryParams(**routine), rep.CategoryParams(**complex), **rest
+                )
+            ),
+            run=lambda built: rep.simulate_replicator(*built),
+            header="year,x_routine,x_complex,x_total",
+            rows=lambda data, num: (
+                f"{p.year},{num(p.x_routine)},{num(p.x_complex)},{num(p.x_total)}"
+                for p in data
+            ),
+            charts={"multi-line": _replicator_lines},
+            builtin=("paper-replicator", rep.DEFAULT_REPLICATOR),
+        ),
+        _ModelSpec(
+            name="boundary",
+            keys=(
+                *_keys(_as_number, "alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"),
+                _Key("p", _as_number, attr="shape.p"),
+                _Key("q", _as_number, attr="shape.q"),
+                _START_YEAR,
+                _Key("horizon_years", _as_int, 20, minimum=0),
+            ),
+            build=_with_horizon(
+                lambda p, q, **rest: bnd.ContinuousParams(shape=BetaShape(p, q), **rest)
+            ),
+            run=lambda built: bnd.simulate_boundary(*built),
+            header="year,theta,share",
+            rows=lambda data, num: (
+                f"{p.year},{num(p.theta)},{num(p.share)}" for p in data
+            ),
+            charts={"line": _share_line, "heatmap": _boundary_heatmap},
+            builtin=("paper-boundary", bnd.DEFAULT_BOUNDARY),
+        ),
+        _ModelSpec(
+            name="lattice",
+            keys=(),
+            build=LatticeRun,
+            run=_run_lattice,
+            header="t,automated_count,share",
+            rows=_lattice_rows,
+            charts={"line": _lattice_line},
+            check=_lattice_params,
+        ),
+        _ModelSpec(
+            name="sweep",
+            keys=(
+                *_keys(_as_number_list, "p_values", "q_values", "gamma_values"),
+                *_keys(_as_int, horizon_years=20),
+                *_keys(_as_number, initial_share_target=0.10, alpha_h=1.0, beta_h=1.5,
+                       beta_m=2.5),
+                _START_YEAR,
+            ),
+            build=lambda params: swp.GridSpec(
+                **{key: tuple(v) if isinstance(v, list) else v for key, v in params.items()}
+            ),
+            run=lambda grid: swp.run_grid(grid),
+            header="p,q,gamma,alpha_M,final_share,cross50_year",
+            rows=_sweep_rows,
+            charts={"heatmap": _sweep_heatmap},
+            builtin=("paper-grid", swp.DEFAULT_GRID),
+        ),
+    )
+}
+
+_CHARTS = tuple(dict.fromkeys(chart for spec in _SPECS.values() for chart in spec.charts))
+
+_BUILTINS = {spec.builtin[0]: spec for spec in _SPECS.values() if spec.builtin}
+
+
+# ---------------------------------------------------------------------------
+# Builtin scenarios and config loading
+# ---------------------------------------------------------------------------
+
+def scenario_names() -> list[str]:
+    return list(_BUILTINS)
+
+
+def builtin_scenario(name: str) -> ScenarioConfig:
+    """Expand a builtin scenario name into a full configuration."""
+    if name not in _BUILTINS:
+        known = ", ".join(_BUILTINS)
+        raise ValidationError(f"unknown scenario {name!r} (builtins: {known})")
+    spec = _BUILTINS[name]
+    return ScenarioConfig(model=spec.name, params=_read(spec.builtin[1], spec.keys))
+
+
+def _output_from_dict(block: dict) -> OutputSpec:
+    merged = _check(block, "output", _keys(_unchecked, format="csv", path=None, precision=6))
+    fmt = merged["format"]
+    if fmt not in ("csv", "svg"):
+        raise ValidationError(f"output.format must be 'csv' or 'svg', got {fmt!r}")
+    precision = _as_int(merged["precision"], "output.precision")
+    if not 0 <= precision <= 17:
+        raise ValidationError(
+            f"output.precision must lie in [0, 17], got {precision}"
+        )
+    path = merged["path"]
+    if path is not None and not isinstance(path, str):
+        raise ValidationError(f"output.path must be a string, got {path!r}")
+    return OutputSpec(format=fmt, path=path, precision=precision)
+
+
+def load_config(text: str) -> ScenarioConfig:
+    """Parse and validate a JSON scenario document.
+
+    The document needs a ``model`` plus either a ``scenario`` name (expanded
+    to its builtin parameters) or an explicit ``params`` block; an optional
+    ``output`` block selects format, path, and precision.  Unknown keys
+    anywhere are hard errors.
+    """
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(document, dict):
+        raise ValidationError("config must be a JSON object at top level")
+    merged = _check(
+        document, "config", _keys(_unchecked, "model", scenario=None, params=None, output=None)
+    )
+    model = merged["model"]
+    spec = _SPECS.get(model) if isinstance(model, str) else None
+    if spec is None:
+        raise ValidationError(
+            f"unknown model {model!r} (expected one of {', '.join(_SPECS)})"
+        )
+    scenario = merged["scenario"]
+    params = merged["params"]
+    if (scenario is None) == (params is None):
+        raise ValidationError(
+            "config must provide exactly one of 'scenario' or 'params'"
+        )
+    if scenario is not None:
+        if not isinstance(scenario, str):
+            raise ValidationError(f"scenario must be a string, got {scenario!r}")
+        config = builtin_scenario(scenario)
+        if config.model != model:
+            raise ValidationError(
+                f"scenario {scenario!r} belongs to model {config.model!r}, "
+                f"config says {model!r}"
+            )
+        canonical = config.params
+    else:
+        canonical = spec.canonical(params)
+        spec.build(canonical)  # typed constructors validate; a lattice builds nothing
+    output = OutputSpec() if merged["output"] is None else _output_from_dict(merged["output"])
+    return ScenarioConfig(model=model, params=canonical, output=output)
+
+
+# ---------------------------------------------------------------------------
+# Running and emitting
+# ---------------------------------------------------------------------------
+
+def run_config(config: ScenarioConfig) -> RunResult:
+    """Execute the configured scenario and wrap its output."""
+    data = _SPECS[config.model].run(config.build())
+    return RunResult(model=config.model, data=data, config=config)
+
+
+def emit_csv(result: RunResult, precision: int = 6) -> str:
+    """Render a run as CSV with fixed-precision decimals.
+
+    Headers are fixed per model; every row ends with a newline and carries
+    no trailing whitespace, so output is byte-identical across runs.
+    """
+    if precision < 0:
+        raise ValidationError(f"precision must be >= 0, got {precision}")
+    spec = _SPECS.get(result.model)
+    if spec is None:
+        raise ValidationError(f"unknown model {result.model!r}")
+
+    def num(value: float) -> str:
+        return f"{value:.{precision}f}"
+
+    return "\n".join([spec.header, *spec.rows(result.data, num)]) + "\n"
+
+
 def emit_svg(
     result: RunResult,
     chart: str,
@@ -718,46 +638,18 @@ def emit_svg(
 ) -> str:
     """Render a run as a deterministic SVG chart.
 
-    Supported pairs: aggregate/line, replicator/multi-line, boundary/line,
-    boundary/heatmap (payoff advantage plus the boundary overlay),
-    sweep/heatmap, lattice/line.  Anything else raises ChartError.
+    Each model allows the charts its spec lists: aggregate/line,
+    replicator/multi-line, boundary/line, boundary/heatmap (payoff advantage
+    plus the boundary overlay), lattice/line, sweep/heatmap.  Anything else
+    raises ChartError.
     """
     if chart not in _CHARTS:
         raise ChartError(f"unknown chart kind {chart!r} (expected {', '.join(_CHARTS)})")
-    model = result.model
-    if model == "aggregate" and chart == "line":
-        points = [(float(p.year), p.share) for p in result.data]
-        return svgplot.line_chart(
-            points, dimensions[0], dimensions[1], x_label="year", y_label="share"
-        )
-    if model == "replicator" and chart == "multi-line":
-        series = [
-            ("routine", [(float(p.year), p.x_routine) for p in result.data]),
-            ("complex", [(float(p.year), p.x_complex) for p in result.data]),
-            ("total", [(float(p.year), p.x_total) for p in result.data]),
-        ]
-        return svgplot.multi_line_chart(
-            series, dimensions[0], dimensions[1], x_label="year", y_label="share"
-        )
-    if model == "boundary" and chart == "line":
-        points = [(float(p.year), p.share) for p in result.data]
-        return svgplot.line_chart(
-            points, dimensions[0], dimensions[1], x_label="year", y_label="share"
-        )
-    if model == "boundary" and chart == "heatmap":
-        return _boundary_heatmap(result, dimensions)
-    if model == "sweep" and chart == "heatmap":
-        return _sweep_heatmap(result, dimensions)
-    if model == "lattice" and chart == "line":
-        trace, n_tasks = result.data
-        points = [
-            (float(t), allocation.fraction(n_tasks))
-            for t, allocation in enumerate(trace.iterations)
-        ]
-        return svgplot.line_chart(
-            points, dimensions[0], dimensions[1], x_label="t", y_label="share"
-        )
-    raise ChartError(f"chart {chart!r} does not apply to model {model!r}")
+    spec = _SPECS.get(result.model)
+    render = spec.charts.get(chart) if spec is not None else None
+    if render is None:
+        raise ChartError(f"chart {chart!r} does not apply to model {result.model!r}")
+    return render(result, dimensions)
 
 
 # ---------------------------------------------------------------------------
@@ -982,14 +874,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_output(document: str, path: str | None) -> None:
-    """Write atomically so a failed run never leaves partial output."""
+    """Write atomically so a failed run never leaves partial output.
+
+    The document goes to a uniquely named file in the target's directory,
+    which is renamed over the target; on any failure it is removed.  The
+    file gets the permissions a plain ``open`` would give it.
+    """
     if path is None:
         sys.stdout.write(document)
         return
-    temp_path = path + ".partial"
-    with open(temp_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(document)
-    os.replace(temp_path, path)
+    import tempfile  # here, not at the top: it adds about 8 ms to every start-up
+
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".workmix-")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
+            handle.write(document)
+        os.replace(temp_path, path)
+    except BaseException:
+        os.unlink(temp_path)
+        raise
 
 
 def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str | None]:
@@ -1003,44 +909,32 @@ def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str 
     result = run_config(config)
     if fmt == "csv":
         return emit_csv(result, precision), path
-    chart = args.chart or _DEFAULT_CHART[config.model]
+    chart = args.chart or next(iter(_SPECS[config.model].charts))
     return emit_svg(result, chart), path
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-
-    try:
-        if args.command == "run":
-            try:
-                with open(args.config_path, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                print(
-                    f"error: cannot read config {args.config_path!r}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            config = load_config(text)
-            document, path = _render(config, args)
-            _write_output(document, path)
-        elif args.command == "scenario":
-            config = builtin_scenario(args.name)
+        args = _build_parser().parse_args(list(argv) if argv is not None else None)
+        if args.command in ("run", "scenario"):
+            if args.command == "run":
+                try:
+                    with open(args.config_path, "r", encoding="utf-8") as handle:
+                        text = handle.read()
+                except OSError as exc:
+                    raise OSError(f"cannot read config {args.config_path!r}: {exc}") from None
+                config = load_config(text)
+            else:
+                config = builtin_scenario(args.name)
             document, path = _render(config, args)
             _write_output(document, path)
         elif args.command == "list-scenarios":
             if args.expand:
+                configs = {name: builtin_scenario(name) for name in _BUILTINS}
                 expanded = {
-                    name: {"model": _BUILTINS[name][0], "params": _BUILTINS[name][1]()}
-                    for name in _BUILTINS
+                    name: {"model": config.model, "params": config.params}
+                    for name, config in configs.items()
                 }
                 document = json.dumps(expanded, indent=2, sort_keys=True) + "\n"
             else:
@@ -1052,13 +946,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             if not all_passed:
                 print("error: golden checks failed", file=sys.stderr)
                 return 2
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ComputationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

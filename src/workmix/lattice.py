@@ -17,7 +17,6 @@ year-by-year tables (exact saturation after the last row).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,7 +31,6 @@ __all__ = [
     "delegation_map",
     "run_delegation",
     "fixed_point_oracle",
-    "check_isotone",
     "check_capability_growth",
     "linear_universe",
     "saturating_universe",
@@ -177,34 +175,6 @@ def run_delegation(
             converged_at = run_start
             break
     return DelegationTrace(tuple(iterations), converged_at)
-
-
-def check_isotone(universe: TaskUniverse, t: int, samples: int) -> bool:
-    """Spot-check that the delegation map respects set inclusion.
-
-    Draws ``samples`` nested pairs A subset-of B of allocations (from a fixed
-    seed, so the check is deterministic) and confirms the map's image for A
-    is contained in its image for B.  The map ignores its set argument
-    entirely, so this holds for every valid universe; the check exists as an
-    executable regression of that fact.
-    """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    ids = [task.id for task in universe.tasks]
-    rng = random.Random(0x5E7 + 31 * t + samples)
-    for _ in range(samples):
-        superset = frozenset(i for i in ids if rng.random() < 0.5)
-        subset = frozenset(i for i in superset if rng.random() < 0.5)
-        # The map has no allocation argument, so its image is the same for
-        # both elements of the pair; evaluate it once per side anyway to
-        # keep the inclusion check in the shape of the property.
-        image_for_subset = delegation_map(universe, t)
-        image_for_superset = delegation_map(universe, t)
-        if not (subset <= superset):
-            return False
-        if not image_for_subset.automated <= image_for_superset.automated:
-            return False
-    return True
 
 
 def check_capability_growth(

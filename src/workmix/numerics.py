@@ -22,8 +22,9 @@ no worse than bisection's.
 
 ``oracle_beta_cdf`` is an intentionally independent cross-check: it knows
 nothing about continued fractions and simply integrates the density with
-composite Simpson's rule.  It exists for the test suite and should not be
-used as the production path.
+composite Simpson's rule, in pure Python (about 3 ms at 10,000 steps).  It
+exists for ``verify`` and the test suite and should not be used as the
+production path.
 
 All arithmetic is 64-bit binary floating point; every function here is a
 pure function of its arguments.
@@ -35,8 +36,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .errors import BracketError, ComputationError, DomainError
 
@@ -83,7 +82,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class BetaShape:
-    """Shape parameters (p, q) of a Beta distribution, both required > 0.
+    """Shape parameters (p, q) of a Beta distribution, both finite and > 0.
 
     ``log_beta`` is ln B(p, q), computed once when the shape is made so that
     every CDF evaluation on the shape reuses it.  It is derived, so it takes
@@ -98,6 +97,10 @@ class BetaShape:
         if not (self.p > 0 and self.q > 0):
             raise DomainError(
                 f"beta shape parameters must be positive, got p={self.p}, q={self.q}"
+            )
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise DomainError(
+                f"beta shape parameters must be finite, got p={self.p}, q={self.q}"
             )
         object.__setattr__(self, "log_beta", log_beta(self.p, self.q))
 
@@ -166,7 +169,12 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 def reg_inc_beta(x: float, shape: BetaShape) -> float:
     """Regularized incomplete beta function I_x(p, q).
 
-    Continuous and non-decreasing in x on [0, 1], with I_0 = 0 and I_1 = 1.
+    I_0 = 0 and I_1 = 1.  The exact function is continuous and non-decreasing
+    in x; the computed value is not monotone at the ulp scale.  Between
+    adjacent doubles it can move by a few ulps of its value either way, from
+    the rounding of p ln x + q ln(1 - x) - ln B and the continued fraction's
+    1e-15 stopping rule, and by hundreds of ulps or more at shapes of about
+    200 and above.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
@@ -315,9 +323,10 @@ def inv_reg_inc_beta(target: float, shape: BetaShape) -> float:
 def oracle_beta_cdf(x: float, shape: BetaShape, steps: int) -> float:
     """Beta CDF by composite Simpson integration of the density over [0, x].
 
-    A deliberately naive reference path used by the tests to cross-check
-    ``reg_inc_beta``.  Requires p >= 1 and q >= 1 so the density is finite
-    at both endpoints (Simpson evaluates them directly), and steps >= 1000.
+    A deliberately naive reference path used by ``verify`` and the tests to
+    cross-check ``reg_inc_beta``.  Requires p >= 1 and q >= 1 so the density
+    is finite at both endpoints (Simpson evaluates them directly), and
+    steps >= 1000; an odd step count is rounded up to the next even one.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"oracle_beta_cdf requires x in [0, 1], got {x}")
@@ -332,13 +341,14 @@ def oracle_beta_cdf(x: float, shape: BetaShape, steps: int) -> float:
     if x == 0.0:
         return 0.0
     n = steps if steps % 2 == 0 else steps + 1
-    t = np.linspace(0.0, x, n + 1)
-    density = t ** (p - 1.0) * (1.0 - t) ** (q - 1.0)
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
     h = x / n
-    integral = float(np.dot(weights, density)) * h / 3.0
+    a, b = p - 1.0, q - 1.0
+    # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1, summed by math.fsum (correctly rounded).
+    terms = [0.0**a, x**a * (1.0 - x) ** b]
+    terms += [
+        (4.0 if i % 2 else 2.0) * (i * h) ** a * (1.0 - i * h) ** b for i in range(1, n)
+    ]
+    integral = math.fsum(terms) * h / 3.0
     return integral / math.exp(shape.log_beta)
 
 

@@ -30,7 +30,6 @@ from workmix import (
     equilibrium,
     fixed_point_oracle,
     inv_reg_inc_beta,
-    oracle_beta_cdf,
     reg_inc_beta,
     run_delegation,
     run_grid,
@@ -42,6 +41,8 @@ from workmix import (
     table_universe,
 )
 from workmix.cli import main
+
+from simpson_oracle import simpson_beta_cdf
 
 ORACLE_SHAPES = [
     (1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (2.0, 5.0), (5.0, 2.0), (3.0, 5.0),
@@ -228,7 +229,7 @@ def test_criterion_08_special_functions():
         steps = 400_000 if min(p, q) < 2.0 and min(p, q) % 1.0 else 20_000
         for x in xs:
             direct = reg_inc_beta(x, shape)
-            quad = oracle_beta_cdf(x, shape, steps)
+            quad = simpson_beta_cdf(x, shape, steps)
             if abs(direct - quad) >= 1e-8:
                 failures.append(f"oracle gap {abs(direct - quad):.2e} at "
                                 f"(p={p}, q={q}, x={x})")

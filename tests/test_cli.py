@@ -1,11 +1,14 @@
 """Command-line behavior: strict configs, byte-stable output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import workmix.lattice
-from workmix import ChartError, ParseError, ValidationError
+from workmix import ChartError, DomainError, ParamError, ParseError, ValidationError
 from workmix.cli import (
     OutputSpec,
     RunResult,
@@ -292,6 +295,40 @@ class TestMain:
         assert target.read_text() == "keep me\n"
         capsys.readouterr()
 
+    def test_out_is_an_existing_directory(self, tmp_path, capsys):
+        target = tmp_path / "target"
+        target.mkdir()
+        assert main(["scenario", "paper-aggregate", "--out", str(target)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+        assert list(target.iterdir()) == []
+
+    def test_out_file_gets_plain_open_permissions(self, tmp_path, capsys):
+        target = tmp_path / "shares.csv"
+        assert main(["scenario", "paper-aggregate", "--out", str(target)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shares.csv"]
+
+    def test_numpy_stays_out_of_the_runtime(self):
+        # The package and every CLI path, verify included, run on the
+        # standard library alone.
+        code = (
+            "import sys, workmix\n"
+            "imported = 'numpy' in sys.modules\n"
+            "from workmix.cli import main\n"
+            "status = main(['verify'])\n"
+            "print(imported, 'numpy' in sys.modules, status, file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(workmix.lattice.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert done.stderr.strip() == "False False 0"
+        assert done.stdout.endswith("42/42 golden checks passed\n")
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         names = capsys.readouterr().out.split()
@@ -327,28 +364,57 @@ class TestMain:
         assert "2026,0.18500\n" in capsys.readouterr().out
 
 
+_AGG = {"alpha": 0.1, "beta": 0.05, "x0": 0.1}
+_CAT = {"x0": 0.3, "machine_intercept": 1.0, "machine_growth": 0.05, "human_payoff": 0.8}
+_REP = {"routine": _CAT, "complex": _CAT, "sensitivity": 0.2, "w_routine": 0.6}
+_BND = {"alpha_h": 1.0, "beta_h": 1.5, "alpha_m": 1.3704, "beta_m": 2.5,
+        "gamma": 0.04336, "p": 2.0, "q": 5.0}
+_SWP = {"p_values": [2.0], "q_values": [5], "gamma_values": [0.05]}
+_TABLE = {"family": "table", "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],
+          "machine_rows": [[0.5, 0.2]]}
+
+
+def _case(case_id, model, params, message, **document):
+    """One single-fault config: the model, its params block, the stderr line."""
+    return pytest.param(
+        {"model": model, "params": params, **document}, message, id=case_id
+    )
+
+
+def _check_exits_one_without_output(tmp_path, capsys, document, message):
+    path = tmp_path / "config.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    target = tmp_path / "out.csv"
+    assert main(["run", str(path), "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert not target.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 _LATTICE_INVARIANT_ERRORS = [
-    (
+    _case(
+        "negative-limit", "lattice",
         {"family": "saturating", "n_tasks": 20,
          "limit_intercept": 1.0, "limit_slope": 2.0},
         "error: machine limit is negative at theta=0.5416726198054462; "
         "the saturating schedule would decrease in t",
     ),
-    (
-        {"family": "table", "thetas": [0.2, 0.2], "human_values": [1.0, 1.0],
-         "machine_rows": [[0.5, 0.2]]},
+    _case(
+        "duplicate-thetas", "lattice", dict(_TABLE, thetas=[0.2, 0.2]),
         "error: table_universe requires distinct theta values",
     ),
-    (
-        {"family": "table", "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],
-         "machine_rows": [[0.5, 0.2], [1.5]]},
+    _case(
+        "short-row", "lattice", dict(_TABLE, machine_rows=[[0.5, 0.2], [1.5]]),
         "error: machine_rows[1] has 1 entries, expected 2",
     ),
-    (
-        {"family": "linear", "n_tasks": 20, "gamma": 0},
+    _case(
+        "zero-gamma", "lattice", {"family": "linear", "n_tasks": 20, "gamma": 0},
         "error: gamma must be positive, got 0",
     ),
-    (
+    _case(
+        "zero-p", "lattice",
         {"family": "saturating", "n_tasks": 20, "p": 0,
          "limit_intercept": 1.0, "limit_slope": 0.5},
         "error: beta shape parameters must be positive, got p=0, q=5.0",
@@ -359,19 +425,181 @@ _LATTICE_INVARIANT_ERRORS = [
 class TestLatticeInvariantErrors:
     """Universe invariants fail the run with exit 1 and write nothing."""
 
-    @pytest.mark.parametrize(
-        "params,message", _LATTICE_INVARIANT_ERRORS,
-        ids=["negative-limit", "duplicate-thetas", "short-row", "zero-gamma", "zero-p"],
-    )
-    def test_run_exits_one_without_output(self, tmp_path, capsys, params, message):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"model": "lattice", "params": params}))
-        target = tmp_path / "out.csv"
-        assert main(["run", str(path), "--out", str(target)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == message + "\n"
-        assert captured.out == ""
-        assert not target.exists()
+    @pytest.mark.parametrize("document,message", _LATTICE_INVARIANT_ERRORS)
+    def test_run_exits_one_without_output(self, tmp_path, capsys, document, message):
+        _check_exits_one_without_output(tmp_path, capsys, document, message)
+
+
+_CONFIG_ERRORS = [
+    # config document
+    pytest.param('{"model": ', "error: config parse error at line 1, column 11: "
+                 "Expecting value", id="parse-error"),
+    pytest.param([1], "error: config must be a JSON object at top level",
+                 id="top-level-list"),
+    pytest.param({"params": _AGG}, "error: missing required key 'model' in config",
+                 id="missing-model"),
+    _case("unknown-top-key", "aggregate", _AGG,
+          "error: unknown key 'extra' in config", extra=1),
+    _case("unknown-model", "quantum", _AGG,
+          "error: unknown model 'quantum' (expected one of aggregate, "
+          "replicator, boundary, lattice, sweep)"),
+    _case("scenario-and-params", "aggregate", _AGG,
+          "error: config must provide exactly one of 'scenario' or 'params'",
+          scenario="paper-aggregate"),
+    pytest.param({"model": "aggregate"},
+                 "error: config must provide exactly one of 'scenario' or 'params'",
+                 id="neither-scenario-nor-params"),
+    pytest.param({"model": "aggregate", "scenario": 3},
+                 "error: scenario must be a string, got 3", id="scenario-not-string"),
+    pytest.param({"model": "aggregate", "scenario": "paper-unknown"},
+                 "error: unknown scenario 'paper-unknown' (builtins: paper-aggregate, "
+                 "paper-replicator, paper-boundary, paper-grid)",
+                 id="unknown-scenario"),
+    pytest.param({"model": "aggregate", "scenario": "paper-grid"},
+                 "error: scenario 'paper-grid' belongs to model 'sweep', "
+                 "config says 'aggregate'", id="scenario-model-mismatch"),
+    # aggregate
+    _case("aggregate-unknown-key", "aggregate", dict(_AGG, alpha2=9),
+          "error: unknown key 'alpha2' in aggregate params"),
+    _case("aggregate-missing-key", "aggregate", {"alpha": 0.1, "x0": 0.1},
+          "error: missing required key 'beta' in aggregate params"),
+    _case("aggregate-not-object", "aggregate", [0.1],
+          "error: aggregate params must be an object, got list"),
+    _case("aggregate-bool", "aggregate", dict(_AGG, alpha=True),
+          "error: alpha must be a number, got True"),
+    _case("aggregate-string", "aggregate", dict(_AGG, beta="0.05"),
+          "error: beta must be a number, got '0.05'"),
+    _case("aggregate-non-integer", "aggregate", dict(_AGG, start_year=2025.5),
+          "error: start_year must be an integer, got 2025.5"),
+    _case("aggregate-horizon", "aggregate", dict(_AGG, horizon_years=0),
+          "error: horizon_years must be >= 1, got 0"),
+    _case("aggregate-param-error", "aggregate", dict(_AGG, alpha=2),
+          "error: alpha must lie in [0, 1], got 2"),
+    # replicator
+    _case("replicator-unknown-key", "replicator", dict(_REP, gamma=1),
+          "error: unknown key 'gamma' in replicator params"),
+    _case("replicator-missing-key", "replicator", {"routine": _CAT, "complex": _CAT},
+          "error: missing required key 'sensitivity' in replicator params"),
+    _case("replicator-nested-unknown-key", "replicator",
+          dict(_REP, routine=dict(_CAT, slope=1)),
+          "error: unknown key 'slope' in replicator params.routine"),
+    _case("replicator-nested-missing-key", "replicator",
+          dict(_REP, complex={"x0": 0.05}),
+          "error: missing required key 'machine_intercept' in replicator params.complex"),
+    _case("replicator-nested-not-object", "replicator", dict(_REP, routine=[1]),
+          "error: replicator params.routine must be an object, got list"),
+    _case("replicator-nested-number", "replicator",
+          dict(_REP, complex=dict(_CAT, human_payoff="1.2")),
+          "error: replicator params.complex.human_payoff must be a number, got '1.2'"),
+    _case("replicator-horizon", "replicator", dict(_REP, horizon_years=0),
+          "error: horizon_years must be >= 1, got 0"),
+    _case("replicator-non-integer", "replicator", dict(_REP, horizon_years=True),
+          "error: horizon_years must be an integer, got True"),
+    _case("category-param-error", "replicator", dict(_REP, routine=dict(_CAT, x0=2)),
+          "error: x0 must lie in [0, 1], got 2"),
+    _case("replicator-param-error", "replicator", dict(_REP, sensitivity=0),
+          "error: sensitivity must be positive, got 0"),
+    # boundary
+    _case("boundary-unknown-key", "boundary", dict(_BND, delta=1),
+          "error: unknown key 'delta' in boundary params"),
+    _case("boundary-missing-key", "boundary", {k: v for k, v in _BND.items() if k != "q"},
+          "error: missing required key 'q' in boundary params"),
+    _case("boundary-string", "boundary", dict(_BND, p="2"),
+          "error: p must be a number, got '2'"),
+    _case("boundary-horizon", "boundary", dict(_BND, horizon_years=-1),
+          "error: horizon_years must be >= 0, got -1"),
+    _case("boundary-param-error", "boundary", dict(_BND, gamma=0),
+          "error: gamma must be positive, got 0"),
+    _case("boundary-shape-error", "boundary", dict(_BND, q=-1),
+          "error: beta shape parameters must be positive, got p=2.0, q=-1"),
+    # sweep
+    _case("sweep-unknown-key", "sweep", dict(_SWP, r_values=[1]),
+          "error: unknown key 'r_values' in sweep params"),
+    _case("sweep-missing-key", "sweep", {"p_values": [2.0], "q_values": [5]},
+          "error: missing required key 'gamma_values' in sweep params"),
+    _case("sweep-empty-list", "sweep", dict(_SWP, p_values=[]),
+          "error: p_values must be a non-empty list of numbers"),
+    _case("sweep-not-list", "sweep", dict(_SWP, q_values=5),
+          "error: q_values must be a non-empty list of numbers"),
+    _case("sweep-list-element", "sweep", dict(_SWP, q_values=[5, "x"]),
+          "error: q_values[1] must be a number, got 'x'"),
+    _case("sweep-non-integer", "sweep", dict(_SWP, horizon_years=20.0),
+          "error: horizon_years must be an integer, got 20.0"),
+    _case("grid-param-error", "sweep", dict(_SWP, gamma_values=[0.05, 0.03]),
+          "error: gamma_values must be strictly ascending, got (0.05, 0.03)"),
+    _case("grid-horizon", "sweep", dict(_SWP, horizon_years=0),
+          "error: horizon_years must be >= 1, got 0"),
+    # lattice
+    _case("lattice-not-object", "lattice", [1], "error: lattice params must be an object"),
+    _case("lattice-family", "lattice", {"family": "cubic"},
+          "error: lattice params require family 'linear', 'saturating', or 'table', "
+          "got 'cubic'"),
+    _case("lattice-no-family", "lattice", {"n_tasks": 5},
+          "error: lattice params require family 'linear', 'saturating', or 'table', "
+          "got None"),
+    _case("lattice-unknown-key", "lattice", {"family": "linear", "rows": 1},
+          "error: unknown key 'rows' in lattice params"),
+    _case("lattice-foreign-key", "lattice", {"family": "table", "thetas": [0.5],
+                                             "human_values": [1], "machine_rows": [[1]],
+                                             "gamma": 0.1},
+          "error: unknown key 'gamma' in lattice params"),
+    _case("lattice-missing-key", "lattice", {"family": "saturating", "limit_intercept": 1},
+          "error: missing required key 'limit_slope' in lattice params"),
+    _case("lattice-number", "lattice", {"family": "linear", "alpha_m": None},
+          "error: alpha_m must be a number, got None"),
+    _case("lattice-rows-not-list", "lattice", dict(_TABLE, machine_rows={"0": [1]}),
+          "error: machine_rows must be a non-empty list of rows"),
+    _case("lattice-rows-empty", "lattice", dict(_TABLE, machine_rows=[]),
+          "error: machine_rows must be a non-empty list of rows"),
+    _case("lattice-row-not-list", "lattice", dict(_TABLE, machine_rows=[0.5]),
+          "error: machine_rows[0] must be a non-empty list of numbers"),
+    _case("lattice-row-element", "lattice", dict(_TABLE, machine_rows=[[0.5, "a"]]),
+          "error: machine_rows[0][1] must be a number, got 'a'"),
+    _case("lattice-thetas-element", "lattice", dict(_TABLE, thetas=[0.2, False]),
+          "error: thetas[1] must be a number, got False"),
+    _case("lattice-n-tasks", "lattice", {"family": "linear", "n_tasks": 0},
+          "error: n_tasks must be >= 1, got 0"),
+    _case("lattice-n-tasks-non-integer", "lattice", {"family": "linear", "n_tasks": 1.5},
+          "error: n_tasks must be an integer, got 1.5"),
+    _case("lattice-max-years", "lattice", dict(_TABLE, max_years=0),
+          "error: max_years must be >= 1, got 0"),
+    _case("lattice-stability-window", "lattice",
+          {"family": "saturating", "limit_intercept": 1, "limit_slope": 0,
+           "stability_window": -2},
+          "error: stability_window must be >= 1, got -2"),
+    # output block
+    _case("output-not-object", "aggregate", _AGG,
+          "error: output must be an object, got str", output="csv"),
+    _case("output-unknown-key", "aggregate", _AGG,
+          "error: unknown key 'formats' in output", output={"formats": "csv"}),
+    _case("output-format", "aggregate", _AGG,
+          "error: output.format must be 'csv' or 'svg', got 'png'",
+          output={"format": "png"}),
+    _case("output-precision-range", "aggregate", _AGG,
+          "error: output.precision must lie in [0, 17], got 99",
+          output={"precision": 99}),
+    _case("output-precision-non-integer", "aggregate", _AGG,
+          "error: output.precision must be an integer, got '3'",
+          output={"precision": "3"}),
+    _case("output-path", "aggregate", _AGG,
+          "error: output.path must be a string, got 5", output={"path": 5}),
+]
+
+
+class TestConfigErrors:
+    """Every validation branch of loading: exact stderr line, exit 1, nothing written."""
+
+    @pytest.mark.parametrize("document,message", _CONFIG_ERRORS)
+    def test_run_exits_one_without_output(self, tmp_path, capsys, document, message):
+        _check_exits_one_without_output(tmp_path, capsys, document, message)
+
+    @pytest.mark.parametrize("document,message", [
+        case for case in _CONFIG_ERRORS if case.id.endswith(("param-error", "shape-error"))
+    ])
+    def test_typed_constructor_errors_surface_at_load(self, document, message):
+        with pytest.raises((ParamError, DomainError)) as excinfo:
+            load_config(json.dumps(document))
+        assert "error: " + str(excinfo.value) == message
 
 
 class TestNonFiniteNumbers:

@@ -14,7 +14,6 @@ from workmix import (
     TaskUniverse,
     beta_quantile_thetas,
     check_capability_growth,
-    check_isotone,
     delegation_map,
     fixed_point_oracle,
     inv_reg_inc_beta,
@@ -172,11 +171,6 @@ class TestRunDelegation:
 
 
 class TestChecks:
-    def test_isotone_spot_check(self):
-        assert check_isotone(saturating_example(), 3, 50)
-        with pytest.raises(DomainError):
-            check_isotone(saturating_example(), 3, 0)
-
     def test_capability_growth(self):
         assert check_capability_growth(saturating_example(), 30)
         shrinking = table_universe([0.5], [1.0], [[2.0], [0.5]])

@@ -1,9 +1,10 @@
 """Special-function tests: two independent routes to every value.
 
 The continued-fraction implementation is checked against (a) an exact
-binomial-tail identity for integer shapes, (b) the numpy Simpson quadrature
-oracle for general shapes, and (c) frozen values computed from those two
-routes before the implementation existed.
+binomial-tail identity for integer shapes, (b) the Simpson quadrature
+oracle for general shapes (the library's pure-Python one, and its NumPy twin
+in ``simpson_oracle`` for the heavy loops), and (c) frozen values computed
+from those two routes before the implementation existed.
 """
 
 import math
@@ -26,6 +27,8 @@ from workmix import (
     oracle_beta_cdf,
     reg_inc_beta,
 )
+
+from simpson_oracle import simpson_beta_cdf
 
 SHAPE_2_5 = BetaShape(2.0, 5.0)
 
@@ -114,7 +117,7 @@ class TestRegIncBeta:
             tol = 5e-7 if (p, q) == (1.5, 5.0) else 1e-9
             for i in range(1, 20):
                 x = i / 20.0
-                want = oracle_beta_cdf(x, shape, 20000)
+                want = simpson_beta_cdf(x, shape, 20000)
                 assert reg_inc_beta(x, shape) == pytest.approx(
                     want, abs=tol
                 ), (p, q, x)
@@ -141,6 +144,16 @@ class TestRegIncBeta:
             BetaShape(0.0, 5.0)
         with pytest.raises(DomainError):
             BetaShape(2.0, -1.0)
+
+    def test_non_finite_shapes_rejected(self):
+        # An infinite shape would have a NaN log_beta, and every CDF call on
+        # it would fail as a ComputationError rather than a DomainError.
+        for p, q in [(math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf)]:
+            with pytest.raises(DomainError, match="must be finite"):
+                BetaShape(p, q)
+        for p, q in [(-math.inf, 2.0), (math.nan, 2.0), (2.0, math.nan)]:
+            with pytest.raises(DomainError, match="must be positive"):
+                BetaShape(p, q)
 
 
 class TestInverse:
@@ -296,6 +309,15 @@ class TestQuadratureOracle:
         exact = binomial_tail_cdf(0.37, 3, 4)
         assert abs(fine - exact) <= abs(coarse - exact) + 1e-15
         assert fine == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1000, 20000])
+    def test_matches_numpy_simpson(self, steps):
+        for p, q in [(2.0, 5.0), (1.5, 5.0), (12.0, 8.0)]:
+            shape = BetaShape(p, q)
+            for i in range(1, 20):
+                x = i / 20.0
+                got = oracle_beta_cdf(x, shape, steps)
+                assert abs(got - simpson_beta_cdf(x, shape, steps)) <= 1e-15, (p, q, x)
 
     def test_rejects_singular_shapes_and_thin_grids(self):
         with pytest.raises(DomainError):
