@@ -21,6 +21,7 @@ run it, its CSV rows, its charts and its builtin scenario) lives in one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -112,15 +113,17 @@ class _Key:
     """One params key.
 
     ``kind`` is a checker ``(value, label) -> value`` or, for a nested
-    object, a tuple of keys.  ``attr`` is the key's attribute path on the
-    model's typed object where it differs from the name; builtins are read
-    from the ``DEFAULT_*`` objects through it.
+    object, a tuple of keys.  ``minimum`` and ``maximum`` bound a number;
+    ``maximum`` bounds a list's length.  ``attr`` is the key's attribute
+    path on the model's typed object where it differs from the name;
+    builtins are read from the ``DEFAULT_*`` objects through it.
     """
 
     name: str
     kind: Any
     default: Any = _REQUIRED
     minimum: int | None = None
+    maximum: int | None = None
     attr: str | None = None
 
 
@@ -159,7 +162,7 @@ def _check(block: Any, where: str, keys: tuple[_Key, ...], prefix: str = "") -> 
 
     Every unknown key is an error, named, and so is every missing required
     key.  Defaults fill the rest; then each value passes its kind and its
-    minimum.  Key errors name the block (``where``); value errors name the
+    bounds.  Key errors name the block (``where``); value errors name the
     key, after ``prefix``.
     """
     if not isinstance(block, dict):
@@ -182,6 +185,13 @@ def _check(block: Any, where: str, keys: tuple[_Key, ...], prefix: str = "") -> 
             value = key.kind(value, label)
         if key.minimum is not None and value < key.minimum:
             raise ValidationError(f"{label} must be >= {key.minimum}, got {value}")
+        if key.maximum is not None:
+            if isinstance(value, list) and len(value) > key.maximum:
+                raise ValidationError(
+                    f"{label} must have at most {key.maximum} entries, got {len(value)}"
+                )
+            if not isinstance(value, list) and value > key.maximum:
+                raise ValidationError(f"{label} must be <= {key.maximum}, got {value}")
         checked[key.name] = value
     return checked
 
@@ -208,16 +218,23 @@ def _keys(kind: Any, *required: str, **optional: Any) -> tuple[_Key, ...]:
     )
 
 
+# Size caps, which bound the time and memory of a run.  A lattice keeps one
+# allocation of up to n_tasks tasks per year: 10,000 tasks over 1000 years
+# stay within a few hundred MB.
+_MAX_YEARS = 1000
+_MAX_TASKS = 10_000
+_MAX_SWEEP_CELLS = 10_000
+
 _START_YEAR = _Key("start_year", _as_int, 2025)
-_HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, 20, minimum=1))
+_HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, 20, minimum=1, maximum=_MAX_YEARS))
 _CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "human_payoff")
 
 _LATTICE_SHAPE = (
-    _Key("n_tasks", _as_int, 1000, minimum=1),
+    _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
     *_keys(_as_number, p=2.0, q=5.0, alpha_h=1.0, beta_h=1.5),
 )
 _LATTICE_CONTROLS = (
-    _Key("max_years", _as_int, 60, minimum=1),
+    _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
     _Key("stability_window", _as_int, 3, minimum=1),
 )
 _LATTICE_FAMILIES = {
@@ -233,7 +250,7 @@ _LATTICE_FAMILIES = {
     ),
     "table": (
         *_keys(_as_number_list, "thetas", "human_values"),
-        _Key("machine_rows", _as_rows),
+        _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
         *_LATTICE_CONTROLS,
     ),
 }
@@ -256,6 +273,26 @@ def _lattice_params(params: Any) -> dict:
         )
     rest = {key: value for key, value in params.items() if key != "family"}
     return {"family": family, **_check(rest, "lattice params", _LATTICE_FAMILIES[family])}
+
+
+_SWEEP_KEYS = (
+    *_keys(_as_number_list, "p_values", "q_values", "gamma_values"),
+    _Key("horizon_years", _as_int, 20, maximum=_MAX_YEARS),
+    *_keys(_as_number, initial_share_target=0.10, alpha_h=1.0, beta_h=1.5, beta_m=2.5),
+    _START_YEAR,
+)
+
+
+def _sweep_params(params: Any) -> dict:
+    """Check a sweep block, then cap its number of cells."""
+    checked = _check(params, "sweep params", _SWEEP_KEYS)
+    cells = len(checked["p_values"]) * len(checked["q_values"]) * len(checked["gamma_values"])
+    if cells > _MAX_SWEEP_CELLS:
+        raise ValidationError(
+            f"p_values x q_values x gamma_values must give at most {_MAX_SWEEP_CELLS} "
+            f"cells, got {cells}"
+        )
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +510,7 @@ _SPECS = {
                 _Key("p", _as_number, attr="shape.p"),
                 _Key("q", _as_number, attr="shape.q"),
                 _START_YEAR,
-                _Key("horizon_years", _as_int, 20, minimum=0),
+                _Key("horizon_years", _as_int, 20, minimum=0, maximum=_MAX_YEARS),
             ),
             build=_with_horizon(
                 lambda p, q, **rest: bnd.ContinuousParams(shape=BetaShape(p, q), **rest)
@@ -498,13 +535,7 @@ _SPECS = {
         ),
         _ModelSpec(
             name="sweep",
-            keys=(
-                *_keys(_as_number_list, "p_values", "q_values", "gamma_values"),
-                *_keys(_as_int, horizon_years=20),
-                *_keys(_as_number, initial_share_target=0.10, alpha_h=1.0, beta_h=1.5,
-                       beta_m=2.5),
-                _START_YEAR,
-            ),
+            keys=_SWEEP_KEYS,
             build=lambda params: swp.GridSpec(
                 **{key: tuple(v) if isinstance(v, list) else v for key, v in params.items()}
             ),
@@ -513,6 +544,7 @@ _SPECS = {
             rows=_sweep_rows,
             charts={"heatmap": _sweep_heatmap},
             builtin=("paper-grid", swp.DEFAULT_GRID),
+            check=_sweep_params,
         ),
     )
 }
@@ -694,8 +726,11 @@ def _golden_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     def calibrated() -> bnd.ContinuousParams:
         return bnd.calibrate(0.10, 0.599906, 20, 1.0, 1.5, 2.5, shape25)
 
+    # One default grid per verify, computed by the first sweep check.
+    default_grid_cells = functools.cache(lambda: swp.run_grid(swp.DEFAULT_GRID))
+
     def sweep_cell(p: float, gamma: float) -> float:
-        for cell in swp.run_grid(swp.DEFAULT_GRID):
+        for cell in default_grid_cells():
             if cell.p == p and cell.gamma == gamma:
                 return cell.final_share
         raise ComputationError(f"cell p={p} gamma={gamma} missing from grid")

@@ -5,15 +5,32 @@ share hits the same initial target under its own Beta(p, q) intricacy law,
 then lets the swept gamma drive the boundary for the full horizon.  Reported
 per cell: the calibrated intercept, the final share, and the first calendar
 year the share reaches one half.
+
+The half-share year is the one a scan of every year from t = 0 finds, but
+``run_grid`` evaluates the Beta CDF only near the shape's median.  Once per
+shape it inverts the CDF at 1/2 -+ 4 delta (delta = 1e-9) to a bracket
+[lo, hi] and keeps it only if the computed CDF is <= 1/2 - delta at lo and
+>= 1/2 + delta at hi.  The premise is that the computed CDF is within
+E = 1e-12 of the exact one, which the tests check against mpmath for p and q
+in [1e-3, 1e3]; outside that range no bracket is made.  Since delta > 2E and
+the exact CDF is non-decreasing, every boundary below lo has a computed
+share below 1/2 and every boundary at or above hi one above 1/2.  So the
+years whose boundary is below lo are skipped without a CDF evaluation (the
+first year at or above lo is estimated in closed form, then corrected by
+stepping the boundary, which never decreases in t), a year whose boundary is
+at or above hi is the answer without one, and only the years in between pay
+a CDF evaluation.  Without a bracket, lo = -inf and hi = +inf, which is the
+scan itself; ``cross50`` runs it unless given a bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .boundary import ContinuousParams, automated_share
+from .boundary import ContinuousParams, automated_share, automation_boundary
 from .errors import ParamError
-from .numerics import BetaShape, inv_reg_inc_beta
+from .numerics import BetaShape, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "GridSpec",
@@ -22,6 +39,12 @@ __all__ = [
     "cross50",
     "DEFAULT_GRID",
 ]
+
+# Half-width of the band around one half that the median bracket keeps clear
+# of, and the shapes whose forward CDF is tested to within 1e-12 < delta / 2.
+_DELTA = 1e-9
+_TESTED_SHAPES = (1e-3, 1e3)
+_NO_BRACKET = (-math.inf, math.inf)
 
 
 def _require_ascending(name: str, values: tuple) -> None:
@@ -74,15 +97,52 @@ class GridCell:
     cross50_year: int | None
 
 
-def cross50(params: ContinuousParams, horizon: int) -> int | None:
+def _median_bracket(shape: BetaShape) -> tuple[float, float]:
+    """(lo, hi) such that the computed share is < 1/2 below lo and > 1/2 from hi.
+
+    ``_NO_BRACKET`` when the shape lies outside the tested range or the
+    computed CDF does not clear the band of half-width ``_DELTA`` at an end.
+    """
+    low, high = _TESTED_SHAPES
+    if low <= shape.p <= high and low <= shape.q <= high:
+        lo = inv_reg_inc_beta(0.5 - 4.0 * _DELTA, shape)
+        hi = inv_reg_inc_beta(0.5 + 4.0 * _DELTA, shape)
+        if (
+            reg_inc_beta(lo, shape) <= 0.5 - _DELTA
+            and reg_inc_beta(hi, shape) >= 0.5 + _DELTA
+        ):
+            return lo, hi
+    return _NO_BRACKET
+
+
+def cross50(
+    params: ContinuousParams,
+    horizon: int,
+    *,
+    bracket: tuple[float, float] = _NO_BRACKET,
+) -> int | None:
     """First calendar year with automated share >= 0.5, scanning whole years.
 
     Returns None when the share stays below one half through the horizon.
+    ``bracket`` is the shape's median bracket, which ``run_grid`` makes once
+    per shape: it spares CDF evaluations and leaves the year unchanged.  By
+    default the CDF is evaluated at every year.
     """
     if horizon < 1:
         raise ParamError(f"horizon must be >= 1, got {horizon}")
-    for t in range(horizon + 1):
-        if automated_share(t, params) >= 0.5:
+    lo, hi = bracket
+    # The first year whose boundary reaches lo: the closed form, clamped to
+    # the horizon before ceil (it may be infinite), then stepped into place.
+    span = params.beta_m + params.beta_h
+    estimate = (lo * span - (params.alpha_m - params.alpha_h)) / params.gamma
+    start = math.ceil(min(max(estimate, 0.0), horizon + 1.0))
+    while start > 0 and automation_boundary(start - 1, params) >= lo:
+        start -= 1
+    while start <= horizon and automation_boundary(start, params) < lo:
+        start += 1
+    for t in range(start, horizon + 1):
+        theta = automation_boundary(t, params)
+        if theta >= hi or reg_inc_beta(min(1.0, max(0.0, theta)), params.shape) >= 0.5:
             return params.start_year + t
     return None
 
@@ -95,6 +155,7 @@ def run_grid(grid: GridSpec) -> list[GridCell]:
             shape = BetaShape(float(p), float(q))
             theta_start = inv_reg_inc_beta(grid.initial_share_target, shape)
             alpha_m = grid.alpha_h + (grid.beta_m + grid.beta_h) * theta_start
+            bracket = _median_bracket(shape)
             for gamma in grid.gamma_values:
                 params = ContinuousParams(
                     alpha_h=grid.alpha_h,
@@ -112,7 +173,7 @@ def run_grid(grid: GridSpec) -> list[GridCell]:
                         gamma=gamma,
                         alpha_m_used=alpha_m,
                         final_share=automated_share(grid.horizon_years, params),
-                        cross50_year=cross50(params, grid.horizon_years),
+                        cross50_year=cross50(params, grid.horizon_years, bracket=bracket),
                     )
                 )
     return cells

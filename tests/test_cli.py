@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import workmix.lattice
+import workmix.sweep
 from workmix import ChartError, DomainError, ParamError, ParseError, ValidationError
 from workmix.cli import (
     OutputSpec,
@@ -227,6 +228,22 @@ class TestVerify:
 
     def test_deterministic(self):
         assert verify_goldens()[0] == verify_goldens()[0]
+
+    def test_default_grid_computed_once_per_verify(self, monkeypatch):
+        calls = [0]
+        original = workmix.sweep.run_grid
+
+        def counted(grid):
+            calls[0] += 1
+            return original(grid)
+
+        monkeypatch.setattr(workmix.sweep, "run_grid", counted)
+        assert verify_goldens()[0].endswith("42/42 golden checks passed\n")
+        # The three sweep-cell checks share one grid; the paper-grid CSV
+        # check runs the scenario end to end.
+        assert calls[0] == 2
+        verify_goldens()
+        assert calls[0] == 4
 
 
 class TestMain:
@@ -473,6 +490,8 @@ _CONFIG_ERRORS = [
           "error: start_year must be an integer, got 2025.5"),
     _case("aggregate-horizon", "aggregate", dict(_AGG, horizon_years=0),
           "error: horizon_years must be >= 1, got 0"),
+    _case("aggregate-horizon-cap", "aggregate", dict(_AGG, horizon_years=10**8),
+          "error: horizon_years must be <= 1000, got 100000000"),
     _case("aggregate-param-error", "aggregate", dict(_AGG, alpha=2),
           "error: alpha must lie in [0, 1], got 2"),
     # replicator
@@ -508,6 +527,8 @@ _CONFIG_ERRORS = [
           "error: p must be a number, got '2'"),
     _case("boundary-horizon", "boundary", dict(_BND, horizon_years=-1),
           "error: horizon_years must be >= 0, got -1"),
+    _case("boundary-horizon-cap", "boundary", dict(_BND, horizon_years=1001),
+          "error: horizon_years must be <= 1000, got 1001"),
     _case("boundary-param-error", "boundary", dict(_BND, gamma=0),
           "error: gamma must be positive, got 0"),
     _case("boundary-shape-error", "boundary", dict(_BND, q=-1),
@@ -529,6 +550,13 @@ _CONFIG_ERRORS = [
           "error: gamma_values must be strictly ascending, got (0.05, 0.03)"),
     _case("grid-horizon", "sweep", dict(_SWP, horizon_years=0),
           "error: horizon_years must be >= 1, got 0"),
+    _case("sweep-horizon-cap", "sweep", dict(_SWP, horizon_years=5000),
+          "error: horizon_years must be <= 1000, got 5000"),
+    _case("sweep-cells-cap", "sweep",
+          dict(_SWP, p_values=[1 + i / 100 for i in range(101)],
+               q_values=list(range(1, 101))),
+          "error: p_values x q_values x gamma_values must give at most 10000 cells, "
+          "got 10100"),
     # lattice
     _case("lattice-not-object", "lattice", [1], "error: lattice params must be an object"),
     _case("lattice-family", "lattice", {"family": "cubic"},
@@ -563,6 +591,12 @@ _CONFIG_ERRORS = [
           "error: n_tasks must be an integer, got 1.5"),
     _case("lattice-max-years", "lattice", dict(_TABLE, max_years=0),
           "error: max_years must be >= 1, got 0"),
+    _case("lattice-max-years-cap", "lattice", dict(_TABLE, max_years=1001),
+          "error: max_years must be <= 1000, got 1001"),
+    _case("lattice-n-tasks-cap", "lattice", {"family": "linear", "n_tasks": 10**6},
+          "error: n_tasks must be <= 10000, got 1000000"),
+    _case("lattice-rows-cap", "lattice", dict(_TABLE, machine_rows=[[0.5, 0.2]] * 1001),
+          "error: machine_rows must have at most 1000 entries, got 1001"),
     _case("lattice-stability-window", "lattice",
           {"family": "saturating", "limit_intercept": 1, "limit_slope": 0,
            "stability_window": -2},
@@ -600,6 +634,22 @@ class TestConfigErrors:
         with pytest.raises((ParamError, DomainError)) as excinfo:
             load_config(json.dumps(document))
         assert "error: " + str(excinfo.value) == message
+
+
+class TestSizeCaps:
+    """Each cap admits its own value; the cases above reject one more."""
+
+    @pytest.mark.parametrize("model,params", [
+        ("aggregate", dict(_AGG, horizon_years=1000)),
+        ("boundary", dict(_BND, horizon_years=1000)),
+        ("sweep", dict(_SWP, horizon_years=1000, p_values=[1 + i / 100 for i in range(100)],
+                       q_values=list(range(1, 101)))),
+        ("lattice", {"family": "linear", "n_tasks": 10000, "max_years": 1000}),
+        ("lattice", dict(_TABLE, machine_rows=[[0.5, 0.2]] * 1000)),
+    ])
+    def test_cap_is_inclusive(self, model, params):
+        config = load_config(json.dumps({"model": model, "params": params}))
+        assert config.params == {**config.params, **params}
 
 
 class TestNonFiniteNumbers:

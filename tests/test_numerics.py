@@ -10,7 +10,12 @@ from those two routes before the implementation existed.
 import math
 
 import pytest
-from hypothesis import given, settings
+
+try:
+    import mpmath
+except ImportError:  # mpmath is in the test extra; its checks skip without it
+    mpmath = None
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import workmix.numerics
@@ -71,6 +76,16 @@ class TestLogGamma:
             math.factorial(1) * math.factorial(4) / math.factorial(6)
         )
         assert log_beta(2.0, 5.0) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    def test_log_beta_against_mpmath(self):
+        # Either side of the switch to Stirling's series, in every branch.
+        values = (1e-3, 0.5, 5.0, 99.0, 100.0, 250.0, 1000.0)
+        for p in values:
+            for q in values:
+                with mpmath.workdps(40):
+                    exact = float(mpmath.log(mpmath.beta(p, q)))
+                assert abs(log_beta(p, q) - exact) <= 4e-13, (p, q)
 
     def test_rejects_non_positive(self):
         with pytest.raises(DomainError):
@@ -357,6 +372,9 @@ shapes = st.tuples(
     st.floats(min_value=0.5, max_value=20.0),
 )
 
+# Log-uniform over the documented accuracy range, 1e-3 to 1e3.
+wide_shape_values = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
 
 class TestProperties:
     @given(shapes, st.floats(min_value=0.0, max_value=1.0))
@@ -394,3 +412,26 @@ class TestProperties:
             1.0 - x, BetaShape(q, p)
         )
         assert abs(total - 1.0) < 1e-10
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    @given(
+        wide_shape_values,
+        wide_shape_values,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    # Points where ln B taken as ln G(p) + ln G(q) - ln G(p + q) put the CDF
+    # 1.2e-12 to 1.8e-12 off: its three log-gammas near 5000 to 13000 cancel.
+    @example(2.529518593169466, 956.8105924510693, 0.0027319192750012407, 0.5)
+    @example(0.13265446335722617, 768.88154767735, 0.0011818264852629364, 0.5)
+    @example(877.1537196245406, 945.2497754899892, 0.4811075008311312, 0.5)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_cdf_against_mpmath(self, p, q, x, u):
+        # Uniform x leaves a large shape's CDF at 0 or 1 almost everywhere,
+        # so the quantile at u is checked as well: the sweep's median
+        # bracket relies on this accuracy near the middle.
+        shape = BetaShape(p, q)
+        for point in (x, inv_reg_inc_beta(u, shape)):
+            with mpmath.workdps(40):
+                exact = float(mpmath.betainc(p, q, 0, point, regularized=True))
+            assert abs(reg_inc_beta(point, shape) - exact) <= 1e-12, (p, q, point)

@@ -3,7 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import workmix.boundary
+import workmix.sweep
 from workmix import (
     DEFAULT_GRID,
     BetaShape,
@@ -11,6 +15,7 @@ from workmix import (
     GridSpec,
     ParamError,
     automated_share,
+    automation_boundary,
     cross50,
     inv_reg_inc_beta,
     run_grid,
@@ -23,6 +28,31 @@ def binomial_tail_cdf(x, p, q):
     return sum(
         math.comb(n, k) * x**k * (1.0 - x) ** (n - k) for k in range(p, n + 1)
     )
+
+
+def scan_cross50(params, horizon):
+    """Reference half-share year: the CDF at every year from t = 0."""
+    for t in range(horizon + 1):
+        if automated_share(t, params) >= 0.5:
+            return params.start_year + t
+    return None
+
+
+def count_calls(monkeypatch, module, name, calls=None):
+    """Wrap module.name so that each call bumps the returned counter."""
+    calls = [0] if calls is None else calls
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
 
 
 def cell_params(grid, cell):
@@ -183,3 +213,111 @@ class TestCross50:
 
         with pytest.raises(ParamError):
             cross50(DEFAULT_BOUNDARY, 0)
+
+
+def assert_cells_match_scan(grid, cells):
+    for cell in cells:
+        want = scan_cross50(cell_params(grid, cell), grid.horizon_years)
+        assert cell.cross50_year == want, cell
+
+
+def axis(start, step, count):
+    return tuple(round(start + step * i, 4) for i in range(count))
+
+
+class TestMedianBracket:
+    """run_grid's half-share year equals the plain per-year scan."""
+
+    @given(
+        p=log_uniform(1e-3, 1e3),
+        q=log_uniform(1e-3, 1e3),
+        gammas=st.lists(log_uniform(1e-9, 1.0), min_size=1, max_size=3, unique=True),
+        horizon=st.integers(1, 200),
+        target=st.floats(1e-6, 1.0 - 1e-6),
+        alpha_h=st.floats(-2.0, 2.0),
+        beta_h=st.floats(0.1, 5.0),
+        beta_m=st.floats(0.1, 5.0),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_scan(self, p, q, gammas, horizon, target, alpha_h, beta_h, beta_m):
+        grid = GridSpec(
+            (p,), (q,), tuple(sorted(gammas)), horizon, target,
+            alpha_h=alpha_h, beta_h=beta_h, beta_m=beta_m,
+        )
+        assert_cells_match_scan(grid, run_grid(grid))
+
+    def test_sweep_grid_shape_with_few_cdf_calls(self, monkeypatch):
+        # The benchmark's sweep-grid layout: 8 x 8 shapes, 20 gammas, 60 years.
+        grid = GridSpec(
+            p_values=axis(0.8, 0.5, 8),
+            q_values=axis(1.0, 0.75, 8),
+            gamma_values=axis(0.01, 0.0025, 20),
+            horizon_years=60,
+            initial_share_target=0.10,
+        )
+        # Forward CDF calls outside the inverse, through either binding the
+        # sweep reaches them by (final share and half-share year).
+        calls = count_calls(monkeypatch, workmix.sweep, "reg_inc_beta")
+        count_calls(monkeypatch, workmix.boundary, "reg_inc_beta", calls)
+        inverses = count_calls(monkeypatch, workmix.sweep, "inv_reg_inc_beta")
+        cells = run_grid(grid)
+        monkeypatch.undo()
+        assert len(cells) == 1280
+        assert calls[0] <= 4 * len(cells)
+        assert inverses[0] == 3 * 64  # the calibration and the two bracket ends
+        assert_cells_match_scan(grid, cells)
+        assert {cell.cross50_year is None for cell in cells} == {True, False}
+
+    def test_shape_outside_tested_range_is_scanned(self, monkeypatch):
+        grid = GridSpec(
+            p_values=(5e-4, 1.5),
+            q_values=(2000.0,),
+            gamma_values=(1e-4, 1e-3, 1e-2),
+            horizon_years=60,
+            initial_share_target=0.10,
+        )
+        inverses = count_calls(monkeypatch, workmix.sweep, "inv_reg_inc_beta")
+        cells = run_grid(grid)
+        monkeypatch.undo()
+        assert inverses[0] == 2  # the calibrations only: no bracket is made
+        assert_cells_match_scan(grid, cells)
+        assert all(cell.cross50_year is not None for cell in cells)
+
+    @given(
+        alpha_m=st.floats(-3.0, 6.0),
+        gamma=log_uniform(1e-9, 1.0),
+        k=st.integers(0, 220),
+        horizon=st.integers(1, 200),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_skips_exactly_the_years_below_lo(self, alpha_m, gamma, k, horizon):
+        params = ContinuousParams(
+            alpha_h=1.0, beta_h=1.5, alpha_m=alpha_m, beta_m=2.5,
+            gamma=gamma, shape=BetaShape(2.0, 5.0),
+        )
+        # A lo that some year's boundary equals exactly, where the closed-form
+        # start year is most likely to be off by one.
+        lo = automation_boundary(k, params)
+        first = next(
+            (t for t in range(horizon + 1) if automation_boundary(t, params) >= lo),
+            horizon + 1,
+        )
+        want = next(
+            (params.start_year + t for t in range(first, horizon + 1)
+             if automated_share(t, params) >= 0.5),
+            None,
+        )
+        assert cross50(params, horizon, bracket=(lo, math.inf)) == want
+
+    def test_unconfirmed_bracket_is_refused(self, monkeypatch):
+        # An inverse that puts both ends on the median: the CDF there does
+        # not clear the band around one half, so no bracket is used.
+        original = workmix.sweep.inv_reg_inc_beta
+        monkeypatch.setattr(
+            workmix.sweep,
+            "inv_reg_inc_beta",
+            lambda target, shape: original(0.5 if abs(target - 0.5) < 1e-6 else target, shape),
+        )
+        assert workmix.sweep._median_bracket(BetaShape(2.0, 5.0)) == (-math.inf, math.inf)
+        grid = GridSpec((1.5, 2.0), (5,), (0.03, 0.05), 40, 0.10)
+        assert_cells_match_scan(grid, run_grid(grid))
