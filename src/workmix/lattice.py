@@ -1,18 +1,19 @@
 """Finite-universe delegation iteration over a growing machine capability.
 
-A :class:`TaskUniverse` holds a finite, ordered list of tasks, each with an
-intricacy value theta, together with three utility callables: the static
-human utility, the time-dependent machine utility, and the machine utility's
-declared asymptote.  The delegation map sends year offset t to the set of
-tasks whose machine utility weakly dominates the human utility (ties go to
-the machine).  As long as machine utility never decreases in t, the induced
-allocation sequence is a monotone inclusion chain that settles on the
-asymptotic dominance set, which ``fixed_point_oracle`` computes directly.
+A :class:`TaskUniverse` is plain data: one intricacy theta, one human
+utility and one machine-utility limit per task (a task's id is its
+position), plus ``machine(t)``, every task's machine utility at year offset
+t as one row.  The delegation map sends t to the tasks whose machine utility
+weakly dominates the human utility (ties go to the machine).  As long as
+machine utility never decreases in t, the allocations form a monotone
+inclusion chain that settles on the asymptotic dominance set, which
+``fixed_point_oracle`` computes by the same comparison against the limits.
 
 Three schedule families cover the interesting regimes: linear growth (never
 saturates, so eventually everything is automated), geometric saturation
 toward a finite limit (a nontrivial split can persist), and explicit
-year-by-year tables (exact saturation after the last row).
+year-by-year tables (exact saturation after the last row).  Each family
+evaluates its per-task values once, when it builds the universe.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from .errors import DomainError, MonotonicityError, ParamError
 from .numerics import BetaShape, inv_reg_inc_beta
 
 __all__ = [
-    "Task",
     "TaskUniverse",
     "Allocation",
     "DelegationTrace",
     "delegation_map",
     "run_delegation",
     "fixed_point_oracle",
-    "check_capability_growth",
     "linear_universe",
     "saturating_universe",
     "table_universe",
@@ -40,41 +39,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Task:
-    id: int
-    theta: float
-
-
-@dataclass(frozen=True)
 class TaskUniverse:
-    """Finite task list plus utility schedules.
+    """Per-task values plus the machine schedule, one row per year.
 
-    Task ids must be unique and contiguous from 0; every theta lies in
-    [0, 1].  ``machine_utility`` takes (t, theta) and is expected to be
-    non-decreasing in t for every task (checked during delegation runs and
-    by :func:`check_capability_growth`); ``machine_utility_limit`` declares
-    its asymptote as a function of theta.
+    ``thetas``, ``human`` and ``limit`` hold one value per task, task i at
+    position i; every theta lies in [0, 1].  ``machine(t)`` returns every
+    task's machine utility at year offset t and is expected to be
+    non-decreasing in t for every task (checked during delegation runs);
+    ``limit`` is its declared asymptote.
     """
 
-    tasks: tuple[Task, ...]
-    human_utility: Callable[[float], float]
-    machine_utility: Callable[[int, float], float]
-    machine_utility_limit: Callable[[float], float]
+    thetas: tuple[float, ...]
+    human: tuple[float, ...]
+    limit: tuple[float, ...]
+    machine: Callable[[int], Sequence[float]]
 
     def __post_init__(self) -> None:
-        for index, task in enumerate(self.tasks):
-            if task.id != index:
-                raise ParamError(
-                    f"task ids must be contiguous from 0, got id {task.id} "
-                    f"at position {index}"
-                )
-            if not 0.0 <= task.theta <= 1.0:
-                raise ParamError(
-                    f"task {task.id} has theta {task.theta} outside [0, 1]"
-                )
+        if not len(self.thetas) == len(self.human) == len(self.limit):
+            raise ParamError("thetas, human and limit need one value per task")
+        for index, theta in enumerate(self.thetas):
+            if not 0.0 <= theta <= 1.0:
+                raise ParamError(f"task {index} has theta {theta} outside [0, 1]")
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.thetas)
 
 
 @dataclass(frozen=True)
@@ -98,38 +86,25 @@ class DelegationTrace:
     converged_at: int | None
 
     @property
-    def truncated(self) -> bool:
-        return self.converged_at is None
-
-    @property
     def final(self) -> Allocation:
         return self.iterations[-1]
 
-    def fractions(self, n_tasks: int) -> list[float]:
-        return [a.fraction(n_tasks) for a in self.iterations]
+
+def _machine_wins(universe: TaskUniverse, row: Sequence[float]) -> frozenset[int]:
+    """Ids of the tasks whose machine value in ``row`` weakly beats the human one."""
+    return frozenset(i for i, (m, h) in enumerate(zip(row, universe.human)) if m >= h)
 
 
 def delegation_map(universe: TaskUniverse, t: int) -> Allocation:
     """Tasks whose machine utility weakly dominates at year offset t."""
     if t < 0:
         raise DomainError(f"t must be non-negative, got {t}")
-    automated = frozenset(
-        task.id
-        for task in universe.tasks
-        if universe.machine_utility(t, task.theta) >= universe.human_utility(task.theta)
-    )
-    return Allocation(automated)
+    return Allocation(_machine_wins(universe, universe.machine(t)))
 
 
 def fixed_point_oracle(universe: TaskUniverse) -> Allocation:
     """Asymptotic dominance set, straight from the declared utility limits."""
-    automated = frozenset(
-        task.id
-        for task in universe.tasks
-        if universe.machine_utility_limit(task.theta)
-        >= universe.human_utility(task.theta)
-    )
-    return Allocation(automated)
+    return Allocation(_machine_wins(universe, universe.limit))
 
 
 def run_delegation(
@@ -177,30 +152,6 @@ def run_delegation(
     return DelegationTrace(tuple(iterations), converged_at)
 
 
-def check_capability_growth(
-    universe: TaskUniverse, max_t: int, tol: float = 1e-12
-) -> bool:
-    """Sample machine utility over t = 0..max_t and confirm it never drops.
-
-    Returns False as soon as some task's utility decreases by more than
-    ``tol`` between consecutive years.
-    """
-    if max_t < 1:
-        raise DomainError(f"max_t must be >= 1, got {max_t}")
-    for task in universe.tasks:
-        previous = universe.machine_utility(0, task.theta)
-        for t in range(1, max_t + 1):
-            current = universe.machine_utility(t, task.theta)
-            if current < previous - tol:
-                return False
-            previous = current
-    return True
-
-
-def _make_tasks(thetas: Sequence[float]) -> tuple[Task, ...]:
-    return tuple(Task(i, float(theta)) for i, theta in enumerate(thetas))
-
-
 def beta_quantile_thetas(n: int, shape: BetaShape) -> tuple[float, ...]:
     """Deterministic intricacy values: Beta(p, q) quantiles at (i + 0.5) / n."""
     if n < 1:
@@ -224,17 +175,14 @@ def linear_universe(
     """
     if not gamma > 0:
         raise ParamError(f"gamma must be positive, got {gamma}")
+    thetas = tuple(float(theta) for theta in thetas)
+    base = tuple(alpha_m - beta_m * theta for theta in thetas)
 
-    def human(theta: float) -> float:
-        return alpha_h + beta_h * theta
+    def machine(t: int) -> tuple[float, ...]:
+        return tuple(value + gamma * t for value in base)
 
-    def machine(t: int, theta: float) -> float:
-        return alpha_m - beta_m * theta + gamma * t
-
-    def limit(theta: float) -> float:
-        return float("inf")
-
-    return TaskUniverse(_make_tasks(thetas), human, machine, limit)
+    human = tuple(alpha_h + beta_h * theta for theta in thetas)
+    return TaskUniverse(thetas, human, (float("inf"),) * len(thetas), machine)
 
 
 def saturating_universe(
@@ -244,21 +192,24 @@ def saturating_universe(
 ) -> TaskUniverse:
     """Machine utility limit(theta) * (1 - 2**-t), saturating geometrically.
 
+    ``human_utility`` and ``machine_limit`` are called once per task.
     Requires a non-negative limit on every task; a negative limit would make
     the schedule decrease in t.
     """
-    tasks = _make_tasks(thetas)
-    for task in tasks:
-        if machine_limit(task.theta) < 0:
+    thetas = tuple(float(theta) for theta in thetas)
+    limit = tuple(machine_limit(theta) for theta in thetas)
+    for theta, value in zip(thetas, limit):
+        if value < 0:
             raise ParamError(
-                f"machine limit is negative at theta={task.theta}; "
+                f"machine limit is negative at theta={theta}; "
                 "the saturating schedule would decrease in t"
             )
 
-    def machine(t: int, theta: float) -> float:
-        return machine_limit(theta) * (1.0 - 2.0**-t)
+    def machine(t: int) -> tuple[float, ...]:
+        return tuple(value * (1.0 - 2.0**-t) for value in limit)
 
-    return TaskUniverse(tasks, human_utility, machine, machine_limit)
+    human = tuple(human_utility(theta) for theta in thetas)
+    return TaskUniverse(thetas, human, limit, machine)
 
 
 def table_universe(
@@ -274,34 +225,24 @@ def table_universe(
     to be non-decreasing: a decreasing table is the intended way to exercise
     the monotonicity-violation error.
     """
-    tasks = _make_tasks(thetas)
-    if len(set(task.theta for task in tasks)) != len(tasks):
+    thetas = tuple(float(theta) for theta in thetas)
+    if len(set(thetas)) != len(thetas):
         raise ParamError("table_universe requires distinct theta values")
-    if len(human_values) != len(tasks):
+    if len(human_values) != len(thetas):
         raise ParamError(
-            f"expected {len(tasks)} human values, got {len(human_values)}"
+            f"expected {len(thetas)} human values, got {len(human_values)}"
         )
     if not machine_rows:
         raise ParamError("machine_rows must be non-empty")
     for t, row in enumerate(machine_rows):
-        if len(row) != len(tasks):
+        if len(row) != len(thetas):
             raise ParamError(
-                f"machine_rows[{t}] has {len(row)} entries, expected {len(tasks)}"
+                f"machine_rows[{t}] has {len(row)} entries, expected {len(thetas)}"
             )
-    by_theta = {task.theta: task.id for task in tasks}
     rows = [tuple(float(v) for v in row) for row in machine_rows]
-    human_by_theta = {
-        task.theta: float(human_values[task.id]) for task in tasks
-    }
 
-    def human(theta: float) -> float:
-        return human_by_theta[theta]
+    def machine(t: int) -> tuple[float, ...]:
+        return rows[min(t, len(rows) - 1)]
 
-    def machine(t: int, theta: float) -> float:
-        row = rows[min(t, len(rows) - 1)]
-        return row[by_theta[theta]]
-
-    def limit(theta: float) -> float:
-        return rows[-1][by_theta[theta]]
-
-    return TaskUniverse(tasks, human, machine, limit)
+    human = tuple(float(v) for v in human_values)
+    return TaskUniverse(thetas, human, rows[-1], machine)
