@@ -58,9 +58,6 @@ __all__ = [
     "main",
 ]
 
-_DEFAULT_DIMENSIONS = (720.0, 480.0)
-
-
 # ---------------------------------------------------------------------------
 # Configuration model
 # ---------------------------------------------------------------------------
@@ -136,12 +133,22 @@ def _as_number(value: Any, label: str) -> float:
         raise ValidationError(f"{label} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{label} must be a finite number, got {value!r}")
-    return value
+    return _in_double_range(value, label)
 
 
 def _as_int(value: Any, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{label} must be an integer, got {value!r}")
+    return _in_double_range(value, label)
+
+
+def _in_double_range(value: Any, label: str) -> Any:
+    """Refuse, by name, an integer that a conversion to float would overflow."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValidationError(
+            f"{label} must lie within the range of a double, "
+            f"got an integer of {len(str(abs(value)))} digits"
+        )
     return value
 
 
@@ -266,7 +273,7 @@ def _lattice_params(params: Any) -> dict:
     if not isinstance(params, dict):
         raise ValidationError("lattice params must be an object")
     family = params.get("family")
-    if family not in _LATTICE_FAMILIES:
+    if not isinstance(family, str) or family not in _LATTICE_FAMILIES:
         raise ValidationError(
             "lattice params require family 'linear', 'saturating', or 'table', "
             f"got {family!r}"
@@ -358,36 +365,30 @@ def _lattice_rows(data: Any, num: Callable[[float], str]) -> Iterable[str]:
         yield f"{t},{len(allocation.automated)},{num(allocation.fraction(n_tasks))}"
 
 
-def _share_line(result: RunResult, dimensions: tuple[float, float]) -> str:
+def _share_line(result: RunResult) -> str:
     points = [(float(p.year), p.share) for p in result.data]
-    return svgplot.line_chart(
-        points, dimensions[0], dimensions[1], x_label="year", y_label="share"
-    )
+    return svgplot.line_chart(points, x_label="year", y_label="share")
 
 
-def _replicator_lines(result: RunResult, dimensions: tuple[float, float]) -> str:
+def _replicator_lines(result: RunResult) -> str:
     series = [
         ("routine", [(float(p.year), p.x_routine) for p in result.data]),
         ("complex", [(float(p.year), p.x_complex) for p in result.data]),
         ("total", [(float(p.year), p.x_total) for p in result.data]),
     ]
-    return svgplot.multi_line_chart(
-        series, dimensions[0], dimensions[1], x_label="year", y_label="share"
-    )
+    return svgplot.multi_line_chart(series, x_label="year", y_label="share")
 
 
-def _lattice_line(result: RunResult, dimensions: tuple[float, float]) -> str:
+def _lattice_line(result: RunResult) -> str:
     trace, n_tasks = result.data
     points = [
         (float(t), allocation.fraction(n_tasks))
         for t, allocation in enumerate(trace.iterations)
     ]
-    return svgplot.line_chart(
-        points, dimensions[0], dimensions[1], x_label="t", y_label="share"
-    )
+    return svgplot.line_chart(points, x_label="t", y_label="share")
 
 
-def _boundary_heatmap(result: RunResult, dimensions: tuple[float, float]) -> str:
+def _boundary_heatmap(result: RunResult) -> str:
     """Payoff advantage over (year, theta), with the boundary overlaid."""
     params, horizon = result.config.build()
     years = [params.start_year + t for t in range(horizon + 1)]
@@ -400,15 +401,13 @@ def _boundary_heatmap(result: RunResult, dimensions: tuple[float, float]) -> str
         [float(y) for y in years],
         thetas,
         grid,
-        dimensions[0],
-        dimensions[1],
         x_label="year",
         y_label="theta",
         overlay=overlay,
     )
 
 
-def _sweep_heatmap(result: RunResult, dimensions: tuple[float, float]) -> str:
+def _sweep_heatmap(result: RunResult) -> str:
     cells = result.data
     q_values = sorted({cell.q for cell in cells})
     if len(q_values) != 1:
@@ -426,8 +425,6 @@ def _sweep_heatmap(result: RunResult, dimensions: tuple[float, float]) -> str:
         [float(g) for g in gamma_values],
         [float(p) for p in p_values],
         grid,
-        dimensions[0],
-        dimensions[1],
         x_label="gamma",
         y_label="p",
     )
@@ -456,7 +453,7 @@ class _ModelSpec:
     run: Callable[[Any], Any]
     header: str
     rows: Callable[[Any, Callable[[float], str]], Iterable[str]]
-    charts: dict[str, Callable[[RunResult, tuple[float, float]], str]]
+    charts: dict[str, Callable[[RunResult], str]]
     builtin: tuple[str, Any] | None = None
     check: Callable[[Any], dict] | None = None
 
@@ -601,6 +598,13 @@ def load_config(text: str) -> ScenarioConfig:
         raise ParseError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # the only other one: an integer literal over the digit limit
+        raise ParseError(
+            "config parse error: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ParseError("config parse error: arrays or objects nested too deeply") from None
     if not isinstance(document, dict):
         raise ValidationError("config must be a JSON object at top level")
     merged = _check(
@@ -663,12 +667,8 @@ def emit_csv(result: RunResult, precision: int = 6) -> str:
     return "\n".join([spec.header, *spec.rows(result.data, num)]) + "\n"
 
 
-def emit_svg(
-    result: RunResult,
-    chart: str,
-    dimensions: tuple[float, float] = _DEFAULT_DIMENSIONS,
-) -> str:
-    """Render a run as a deterministic SVG chart.
+def emit_svg(result: RunResult, chart: str) -> str:
+    """Render a run as a deterministic SVG chart on the fixed 720 x 480 canvas.
 
     Each model allows the charts its spec lists: aggregate/line,
     replicator/multi-line, boundary/line, boundary/heatmap (payoff advantage
@@ -681,7 +681,7 @@ def emit_svg(
     render = spec.charts.get(chart) if spec is not None else None
     if render is None:
         raise ChartError(f"chart {chart!r} does not apply to model {result.model!r}")
-    return render(result, dimensions)
+    return render(result)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +913,8 @@ def _write_output(document: str, path: str | None) -> None:
 
     The document goes to a uniquely named file in the target's directory,
     which is renamed over the target; on any failure it is removed.  The
-    file gets the permissions a plain ``open`` would give it.
+    file gets the permissions a plain ``open`` would give it.  An error
+    names the target, never the temporary file.
     """
     if path is None:
         sys.stdout.write(document)
@@ -922,15 +923,18 @@ def _write_output(document: str, path: str | None) -> None:
 
     umask = os.umask(0)
     os.umask(umask)
-    fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".workmix-")
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            os.fchmod(fd, 0o666 & ~umask)
-            handle.write(document)
-        os.replace(temp_path, path)
-    except BaseException:
-        os.unlink(temp_path)
-        raise
+        fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".workmix-")
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                os.fchmod(fd, 0o666 & ~umask)
+                handle.write(document)
+            os.replace(temp_path, path)
+        except BaseException:
+            os.unlink(temp_path)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str | None]:
@@ -959,6 +963,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                         text = handle.read()
                 except OSError as exc:
                     raise OSError(f"cannot read config {args.config_path!r}: {exc}") from None
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"cannot read config {args.config_path!r}: not UTF-8 "
+                        f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+                    ) from None
                 config = load_config(text)
             else:
                 config = builtin_scenario(args.name)

@@ -2,10 +2,12 @@
 
 No plotting stack: documents are assembled from formatted strings with every
 coordinate rounded to two decimals, so identical inputs yield byte-identical
-output on any platform (no timestamps, no generated ids).  Data series are
-drawn as <polyline> elements and heat cells as <rect> elements; axes, ticks,
-and frames deliberately use <line> and <text>, so counting the data elements
-of a document sees only the data.
+output on any platform (no timestamps, no generated ids).  Every chart is
+drawn on one fixed 720 x 480 canvas.  Data series are drawn as <polyline>
+elements and heat cells as <rect> elements; axes, ticks, and frames
+deliberately use <line> and <text>, so counting the data elements of a
+document sees only the data.  Both line charts share one body, which draws a
+legend entry for each labelled series.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from .errors import DomainError
 
 __all__ = ["line_chart", "multi_line_chart", "heatmap"]
 
-_MARGIN_LEFT = 64.0
-_MARGIN_RIGHT = 20.0
-_MARGIN_TOP = 20.0
-_MARGIN_BOTTOM = 48.0
+# The canvas, and the plot rectangle inside its axis margins.
+_WIDTH = 720.0
+_HEIGHT = 480.0
+_LEFT = 64.0
+_RIGHT = _WIDTH - 20.0
+_TOP = 20.0
+_BOTTOM = _HEIGHT - 48.0
 _TICK_LEN = 5.0
 _FONT = "font-family=\"sans-serif\" font-size=\"12\""
 
@@ -65,73 +70,56 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _check_dimensions(width: float, height: float) -> None:
-    if not (width > 0 and height > 0):
-        raise DomainError(f"dimensions must be positive, got {width}x{height}")
-
-
 class _Frame:
-    """Maps data coordinates into the plot rectangle of an SVG canvas."""
+    """Maps data coordinates into the plot rectangle of the canvas."""
 
-    def __init__(
-        self,
-        width: float,
-        height: float,
-        x_range: tuple[float, float],
-        y_range: tuple[float, float],
-    ) -> None:
-        self.width = width
-        self.height = height
+    def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float]) -> None:
         self.x_lo, self.x_hi = x_range
         self.y_lo, self.y_hi = y_range
-        self.left = _MARGIN_LEFT
-        self.right = width - _MARGIN_RIGHT
-        self.top = _MARGIN_TOP
-        self.bottom = height - _MARGIN_BOTTOM
 
     def x_px(self, x: float) -> float:
         span = self.x_hi - self.x_lo
         frac = 0.5 if span == 0 else (x - self.x_lo) / span
-        return self.left + frac * (self.right - self.left)
+        return _LEFT + frac * (_RIGHT - _LEFT)
 
     def y_px(self, y: float) -> float:
         span = self.y_hi - self.y_lo
         frac = 0.5 if span == 0 else (y - self.y_lo) / span
-        return self.bottom - frac * (self.bottom - self.top)
+        return _BOTTOM - frac * (_BOTTOM - _TOP)
 
     def axes(self, x_label: str, y_label: str) -> list[str]:
         parts = [
-            f'<line x1="{_fmt(self.left)}" y1="{_fmt(self.bottom)}" '
-            f'x2="{_fmt(self.right)}" y2="{_fmt(self.bottom)}" stroke="#333333"/>',
-            f'<line x1="{_fmt(self.left)}" y1="{_fmt(self.top)}" '
-            f'x2="{_fmt(self.left)}" y2="{_fmt(self.bottom)}" stroke="#333333"/>',
+            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(_BOTTOM)}" '
+            f'x2="{_fmt(_RIGHT)}" y2="{_fmt(_BOTTOM)}" stroke="#333333"/>',
+            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(_TOP)}" '
+            f'x2="{_fmt(_LEFT)}" y2="{_fmt(_BOTTOM)}" stroke="#333333"/>',
         ]
         for tick in _nice_ticks(self.x_lo, self.x_hi):
             px = self.x_px(tick)
             parts.append(
-                f'<line x1="{_fmt(px)}" y1="{_fmt(self.bottom)}" '
-                f'x2="{_fmt(px)}" y2="{_fmt(self.bottom + _TICK_LEN)}" stroke="#333333"/>'
+                f'<line x1="{_fmt(px)}" y1="{_fmt(_BOTTOM)}" '
+                f'x2="{_fmt(px)}" y2="{_fmt(_BOTTOM + _TICK_LEN)}" stroke="#333333"/>'
             )
             parts.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(self.bottom + 18.0)}" '
+                f'<text x="{_fmt(px)}" y="{_fmt(_BOTTOM + 18.0)}" '
                 f'text-anchor="middle" {_FONT}>{_fmt_tick(tick)}</text>'
             )
         for tick in _nice_ticks(self.y_lo, self.y_hi):
             py = self.y_px(tick)
             parts.append(
-                f'<line x1="{_fmt(self.left - _TICK_LEN)}" y1="{_fmt(py)}" '
-                f'x2="{_fmt(self.left)}" y2="{_fmt(py)}" stroke="#333333"/>'
+                f'<line x1="{_fmt(_LEFT - _TICK_LEN)}" y1="{_fmt(py)}" '
+                f'x2="{_fmt(_LEFT)}" y2="{_fmt(py)}" stroke="#333333"/>'
             )
             parts.append(
-                f'<text x="{_fmt(self.left - 8.0)}" y="{_fmt(py + 4.0)}" '
+                f'<text x="{_fmt(_LEFT - 8.0)}" y="{_fmt(py + 4.0)}" '
                 f'text-anchor="end" {_FONT}>{_fmt_tick(tick)}</text>'
             )
-        mid_x = 0.5 * (self.left + self.right)
+        mid_x = 0.5 * (_LEFT + _RIGHT)
         parts.append(
-            f'<text x="{_fmt(mid_x)}" y="{_fmt(self.height - 10.0)}" '
+            f'<text x="{_fmt(mid_x)}" y="{_fmt(_HEIGHT - 10.0)}" '
             f'text-anchor="middle" {_FONT}>{_escape(x_label)}</text>'
         )
-        mid_y = 0.5 * (self.top + self.bottom)
+        mid_y = 0.5 * (_TOP + _BOTTOM)
         parts.append(
             f'<text x="16.00" y="{_fmt(mid_y)}" text-anchor="middle" '
             f'transform="rotate(-90 16.00 {_fmt(mid_y)})" {_FONT}>'
@@ -140,11 +128,11 @@ class _Frame:
         return parts
 
 
-def _document(width: float, height: float, body: list[str]) -> str:
+def _document(body: list[str]) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
+        f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">'
     )
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
@@ -167,54 +155,46 @@ def _padded_range(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def line_chart(
-    points: list[tuple[float, float]],
-    width: float,
-    height: float,
-    x_label: str = "",
-    y_label: str = "",
+def _lines(
+    series: list[tuple[str, list[tuple[float, float]]]], x_label: str, y_label: str
 ) -> str:
-    """Single data series as one polyline over labeled axes."""
-    _check_dimensions(width, height)
-    if not points:
-        raise DomainError("line_chart requires at least one point")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    frame = _Frame(width, height, (min(xs), max(xs)), _padded_range(ys))
-    body = frame.axes(x_label, y_label)
-    body.append(_polyline(points, frame, _SERIES_COLORS[0]))
-    return _document(width, height, body)
-
-
-def multi_line_chart(
-    series: list[tuple[str, list[tuple[float, float]]]],
-    width: float,
-    height: float,
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
-    """Several labeled series; one polyline each plus a small legend."""
-    _check_dimensions(width, height)
-    if not series or any(not points for _, points in series):
-        raise DomainError("multi_line_chart requires non-empty series")
+    """One polyline per series over shared axes; a legend entry per labelled one."""
     xs = [x for _, points in series for x, _ in points]
     ys = [y for _, points in series for _, y in points]
-    frame = _Frame(width, height, (min(xs), max(xs)), _padded_range(ys))
+    frame = _Frame((min(xs), max(xs)), _padded_range(ys))
     body = frame.axes(x_label, y_label)
     for index, (label, points) in enumerate(series):
         color = _SERIES_COLORS[index % len(_SERIES_COLORS)]
         body.append(_polyline(points, frame, color))
-        legend_y = frame.top + 16.0 * index + 6.0
+        if not label:
+            continue
+        legend_y = _TOP + 16.0 * index + 6.0
         body.append(
-            f'<line x1="{_fmt(frame.left + 8.0)}" y1="{_fmt(legend_y)}" '
-            f'x2="{_fmt(frame.left + 28.0)}" y2="{_fmt(legend_y)}" '
+            f'<line x1="{_fmt(_LEFT + 8.0)}" y1="{_fmt(legend_y)}" '
+            f'x2="{_fmt(_LEFT + 28.0)}" y2="{_fmt(legend_y)}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         body.append(
-            f'<text x="{_fmt(frame.left + 34.0)}" y="{_fmt(legend_y + 4.0)}" '
+            f'<text x="{_fmt(_LEFT + 34.0)}" y="{_fmt(legend_y + 4.0)}" '
             f'{_FONT}>{_escape(label)}</text>'
         )
-    return _document(width, height, body)
+    return _document(body)
+
+
+def line_chart(points: list[tuple[float, float]], x_label: str, y_label: str) -> str:
+    """Single data series as one polyline over labeled axes."""
+    if not points:
+        raise DomainError("line_chart requires at least one point")
+    return _lines([("", points)], x_label, y_label)
+
+
+def multi_line_chart(
+    series: list[tuple[str, list[tuple[float, float]]]], x_label: str, y_label: str
+) -> str:
+    """Several labeled series; one polyline each plus a small legend."""
+    if not series or any(not points for _, points in series):
+        raise DomainError("multi_line_chart requires non-empty series")
+    return _lines(series, x_label, y_label)
 
 
 def _cell_edges(values: list[float]) -> list[float]:
@@ -245,10 +225,8 @@ def heatmap(
     x_values: list[float],
     y_values: list[float],
     cells: list[list[float]],
-    width: float,
-    height: float,
-    x_label: str = "",
-    y_label: str = "",
+    x_label: str,
+    y_label: str,
     overlay: list[tuple[float, float]] | None = None,
 ) -> str:
     """Grid of colored cells; cells[i][j] belongs to (x_values[i], y_values[j]).
@@ -256,7 +234,6 @@ def heatmap(
     One rect is emitted per grid entry.  The optional overlay is drawn as a
     single black polyline in the same data coordinates.
     """
-    _check_dimensions(width, height)
     if not x_values or not y_values:
         raise DomainError("heatmap requires non-empty axes")
     if len(cells) != len(x_values) or any(
@@ -265,12 +242,7 @@ def heatmap(
         raise DomainError("cells must be len(x_values) rows of len(y_values)")
     x_edges = _cell_edges(list(x_values))
     y_edges = _cell_edges(list(y_values))
-    frame = _Frame(
-        width,
-        height,
-        (x_edges[0], x_edges[-1]),
-        (y_edges[0], y_edges[-1]),
-    )
+    frame = _Frame((x_edges[0], x_edges[-1]), (y_edges[0], y_edges[-1]))
     scale = max((abs(v) for row in cells for v in row), default=0.0)
     body = []
     for i in range(len(x_values)):
@@ -287,4 +259,4 @@ def heatmap(
     body.extend(frame.axes(x_label, y_label))
     if overlay:
         body.append(_polyline(overlay, frame, "#000000"))
-    return _document(width, height, body)
+    return _document(body)

@@ -1,5 +1,6 @@
 """Command-line behavior: strict configs, byte-stable output, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+import workmix.aggregate
 import workmix.lattice
 import workmix.sweep
 from workmix import ChartError, DomainError, ParamError, ParseError, ValidationError
@@ -217,6 +219,44 @@ class TestEmitSvg:
             emit_svg(result, "heatmap")
         with pytest.raises(ChartError):
             emit_svg(result, "spiral")
+
+
+# The small linear lattice the cli-scenarios benchmark draws as a line chart.
+_LATTICE_LINE = {"family": "linear", "n_tasks": 50, "p": 3.0, "q": 3.0, "gamma": 0.06}
+
+_SVG_DIGESTS = [
+    pytest.param("paper-aggregate", "line",
+                 "334f3e0fe7df82e36ddd5c0da72698d367db3e89bd9d99f9f247c86e6ceaaf77",
+                 id="aggregate-line"),
+    pytest.param("paper-replicator", "multi-line",
+                 "8d9672b0d2ff912273e39a5bdcceaaefee0cfdf867b7ca3dfe8fa4b75202f90f",
+                 id="replicator-multi-line"),
+    pytest.param("paper-boundary", "line",
+                 "09dc13ed37ef01908fb33ab69f43b695b7167aaa782eb537a30c9139bde3498a",
+                 id="boundary-line"),
+    pytest.param("paper-boundary", "heatmap",
+                 "fc2557dcd258de56ec4e72b5bdd5b9866e56bfae9c75735310f25d8698d4f1f4",
+                 id="boundary-heatmap"),
+    pytest.param("paper-grid", "heatmap",
+                 "2da88ec26983881548be322d7e3089aeddfc2afe193dcb43138e3f75aec82ded",
+                 id="grid-heatmap"),
+    pytest.param(_LATTICE_LINE, "line",
+                 "906b2c6e006786fb542bb9b3510ab5b2d461d8b6f5c3d9e1e3d2ea9cab8da75b",
+                 id="lattice-line"),
+]
+
+
+class TestSvgBytes:
+    """Every model and chart pair renders to the same bytes, pinned by SHA-256."""
+
+    @pytest.mark.parametrize("scenario,chart,digest", _SVG_DIGESTS)
+    def test_digest(self, scenario, chart, digest):
+        if isinstance(scenario, str):
+            config = builtin_scenario(scenario)
+        else:
+            config = load_config(json.dumps({"model": "lattice", "params": scenario}))
+        document = emit_svg(run_config(config), chart)
+        assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 class TestVerify:
@@ -712,3 +752,104 @@ class TestLatticeBuildCount:
         assert calls[0] == 0
         run_config(config)
         assert calls[0] == 1
+
+
+_AGG_TEXT = '{"model": "aggregate", "params": {"alpha": 0.1, "beta": 0.05, "x0": 0.1'
+
+
+class TestUnreadableConfigs:
+    """Configs that stop the JSON reader or the float conversion: one line, exit 1."""
+
+    def test_integer_literal_over_digit_limit(self, tmp_path, capsys):
+        digits = sys.get_int_max_str_digits() + 1
+        text = _AGG_TEXT + ', "start_year": ' + "1" * digits + "}}"
+        _check_exits_one_without_output(
+            tmp_path, capsys, text,
+            f"error: config parse error: an integer literal has more than {digits - 1} digits",
+        )
+
+    @pytest.mark.parametrize("model,params,label", [
+        ("boundary", dict(_BND, p=10**400), "p"),
+        ("lattice", {"family": "linear", "n_tasks": 5, "alpha_m": -10**400}, "alpha_m"),
+        ("sweep", dict(_SWP, gamma_values=[0.05, 10**400]), "gamma_values[1]"),
+        ("aggregate", dict(_AGG, start_year=10**400), "start_year"),
+    ], ids=["boundary-shape", "lattice-linear", "sweep-grid", "integer-field"])
+    def test_integer_outside_double_range_names_the_key(
+        self, tmp_path, capsys, model, params, label
+    ):
+        _check_exits_one_without_output(
+            tmp_path, capsys, {"model": model, "params": params},
+            f"error: {label} must lie within the range of a double, "
+            "got an integer of 401 digits",
+        )
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        head = _AGG_TEXT.encode() + b'}, "note": "'
+        path.write_bytes(head + b'\xff"}')
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read config {str(path)!r}: not UTF-8 "
+            f"(byte 0xff at offset {len(head)})\n"
+        )
+
+    def test_unhashable_lattice_family(self, tmp_path, capsys):
+        _check_exits_one_without_output(
+            tmp_path, capsys, {"model": "lattice", "params": {"family": ["linear"]}},
+            "error: lattice params require family 'linear', 'saturating', or 'table', "
+            "got ['linear']",
+        )
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        depth = 10**5
+        _check_exits_one_without_output(
+            tmp_path, capsys, "[" * depth + "]" * depth,
+            "error: config parse error: arrays or objects nested too deeply",
+        )
+
+
+class TestOutErrors:
+    def test_missing_directory_names_the_target(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "shares.csv"
+        errors = []
+        for _ in range(2):
+            assert main(["scenario", "paper-aggregate", "--out", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == (
+            f"error: cannot write {str(target)!r}: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMainBranches:
+    def test_sweep_heatmap_needs_one_q_value(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "sweep", "params": dict(_SWP, q_values=[3, 5])}))
+        assert main(["run", str(path), "--format", "svg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sweep heatmap needs exactly one q value; got 2 (filter the grid first)\n"
+        )
+
+    def test_precision_flag_out_of_range(self, capsys):
+        assert main(["scenario", "paper-aggregate", "--precision", "18"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must lie in [0, 17], got 18\n"
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: workmix")
+
+    def test_failed_golden_check_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(workmix.aggregate, "closed_form", lambda t, params: 0.0)
+        assert main(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL aggregate closed form t=10" in captured.out
+        assert captured.out.endswith("40/42 golden checks passed\n")
+        assert captured.err == "error: golden checks failed\n"
