@@ -118,8 +118,6 @@ def convergence_time(params: AggregateParams, tol: float) -> int:
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     gap = abs(params.x0 - equilibrium(params))
-    if gap == 0.0:
-        return 0
     if gap < tol:
         return 0
     factor = abs(1.0 - params.alpha - params.beta)

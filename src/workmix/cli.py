@@ -6,8 +6,9 @@ Subcommands:
 * ``scenario <name>``: execute one of the builtin scenarios by name.
 * ``list-scenarios``: print the builtin names; ``--expand`` prints each one
   as a full JSON config that reloads to an identical configuration.
-* ``verify``: recompute the embedded golden values and print a pass/fail
-  table.
+* ``verify``: recompute the embedded golden values and print one ``ok`` or
+  ``FAIL`` line per check, then ``N/42 golden checks passed``; any failure
+  exits 2.
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 runtime
 failure.  Data goes to stdout or ``--out``; diagnostics go to stderr.  All
@@ -15,7 +16,9 @@ output is deterministic: identical inputs produce identical bytes.
 
 Everything the CLI knows about a model (its params schema, how to build and
 run it, its CSV rows, its charts and its builtin scenario) lives in one
-``_ModelSpec``; the functions below look the spec up by model name.
+``_ModelSpec``; the functions below look the spec up by model name.  The
+golden checks are one table of ``(name, compute, want, tol)`` rows, and
+``verify_goldens`` alone compares a row's computed value with its ``want``.
 """
 
 from __future__ import annotations
@@ -390,6 +393,8 @@ def _lattice_line(result: RunResult) -> str:
 
 def _boundary_heatmap(result: RunResult) -> str:
     """Payoff advantage over (year, theta), with the boundary overlaid."""
+    if result.config is None:
+        raise ChartError("boundary heatmap needs the run's config, and this result has none")
     params, horizon = result.config.build()
     years = [params.start_year + t for t in range(horizon + 1)]
     thetas = [round(0.1 * j, 10) for j in range(11)]
@@ -688,31 +693,9 @@ def emit_svg(result: RunResult, chart: str) -> str:
 # Golden verification
 # ---------------------------------------------------------------------------
 
-def _golden_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
+def _golden_checks() -> list[tuple[str, Callable[[], Any], Any, float | None]]:
+    """Rows ``(name, compute, want, tol)``; each compute looks its functions up when run."""
     shape25 = BetaShape(2.0, 5.0)
-
-    def close(name: str, compute: Callable[[], float], want: float, tol: float):
-        def check() -> tuple[bool, str]:
-            got = compute()
-            ok = abs(got - want) <= tol
-            return ok, f"got {got:.10f}, want {want:.10f} within {tol:g}"
-
-        return name, check
-
-    def contains(name: str, compute: Callable[[], str], needle: str):
-        def check() -> tuple[bool, str]:
-            ok = needle in compute()
-            return ok, f"expected substring {needle!r}"
-
-        return name, check
-
-    def equals(name: str, compute: Callable[[], Any], want: Any):
-        def check() -> tuple[bool, str]:
-            got = compute()
-            return got == want, f"got {got!r}, want {want!r}"
-
-        return name, check
-
     agg_defaults = agg.DEFAULT_AGGREGATE
     rep_defaults = rep.DEFAULT_REPLICATOR
     bnd_defaults = bnd.DEFAULT_BOUNDARY
@@ -726,129 +709,119 @@ def _golden_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     def calibrated() -> bnd.ContinuousParams:
         return bnd.calibrate(0.10, 0.599906, 20, 1.0, 1.5, 2.5, shape25)
 
-    # One default grid per verify, computed by the first sweep check.
-    default_grid_cells = functools.cache(lambda: swp.run_grid(swp.DEFAULT_GRID))
-
-    def sweep_cell(p: float, gamma: float) -> float:
-        for cell in default_grid_cells():
-            if cell.p == p and cell.gamma == gamma:
-                return cell.final_share
-        raise ComputationError(f"cell p={p} gamma={gamma} missing from grid")
+    # One default grid per verify, computed by the first sweep check.  Its one
+    # q value makes (p, gamma) a key.
+    grid_shares = functools.cache(lambda: {
+        (cell.p, cell.gamma): cell.final_share for cell in swp.run_grid(swp.DEFAULT_GRID)
+    })
 
     def scenario_csv(name: str, precision: int) -> str:
         return emit_csv(run_config(builtin_scenario(name)), precision)
 
     return [
-        close("beta cdf at x=0.0926, shape (2,5)",
-              lambda: reg_inc_beta(0.0926, shape25), 0.100009, 1e-5),
-        close("beta cdf at x=0.3094, shape (2,5)",
-              lambda: reg_inc_beta(0.3094, shape25), 0.599906, 1e-5),
-        close("inverse beta cdf at 0.10, shape (2,5)",
-              lambda: inv_reg_inc_beta(0.10, shape25), 0.0926, 5e-4),
-        close("simpson oracle at x=0.0926, shape (2,5)",
-              lambda: oracle_beta_cdf(0.0926, shape25, 10000), 0.100009, 1e-6),
-        close("bisection root of cdf - 0.10",
-              lambda: bisect_root(
-                  lambda x: reg_inc_beta(x, shape25) - 0.10, 0.0, 1.0, 1e-12
-              ),
-              0.0926, 5e-4),
-        close("aggregate one step from 0.10",
-              lambda: agg.step(0.10, agg_defaults), 0.185, 1e-9),
-        close("aggregate one step from 0.185",
-              lambda: agg.step(0.185, agg_defaults), 0.25725, 1e-9),
-        close("aggregate equilibrium",
-              lambda: agg.equilibrium(agg_defaults), 0.6667, 5e-5),
-        close("aggregate closed form t=10",
-              lambda: agg.closed_form(10, agg_defaults), 0.5551045, 1e-6),
-        close("aggregate closed form t=20",
-              lambda: agg.closed_form(20, agg_defaults), 0.6447029, 1e-6),
-        close("aggregate simulated share 2030",
-              lambda: agg.simulate(agg_defaults, 20)[5].share, 0.41523, 5e-5),
-        close("aggregate simulated share 2040",
-              lambda: agg.simulate(agg_defaults, 20)[15].share, 0.61717, 5e-5),
-        close("replicator routine step from 0.30",
-              lambda: rep.replicator_step(0.30, 0, rep_defaults.routine, 0.2),
-              0.3084, 1e-9),
-        close("replicator complex step from 0.05",
-              lambda: rep.replicator_step(0.05, 0, rep_defaults.complex, 0.2),
-              0.04335, 1e-9),
-        close("replicator routine share 2045",
-              lambda: replicator_sim(20, "x_routine"), 0.873048, 1e-5),
-        close("replicator complex share 2045",
-              lambda: replicator_sim(20, "x_complex"), 0.006080, 1e-5),
-        close("replicator total share 2045",
-              lambda: replicator_sim(20, "x_total"), 0.526261, 1e-5),
-        close("replicator routine share 2035",
-              lambda: replicator_sim(10, "x_routine"), 0.498857, 1e-5),
-        close("replicator total share 2035",
-              lambda: replicator_sim(10, "x_total"), 0.304990, 1e-5),
-        close("machine payoff at theta=0, t=0",
-              lambda: bnd.payoff_machine(0.0, 0, bnd_defaults), 1.3704, 1e-9),
-        close("payoff advantage at theta=0, t=0",
-              lambda: bnd.payoff_machine(0.0, 0, bnd_defaults)
-              - bnd.payoff_human(0.0, bnd_defaults),
-              0.3704, 1e-4),
-        close("payoff advantage at theta=1, t=0",
-              lambda: bnd.payoff_machine(1.0, 0, bnd_defaults)
-              - bnd.payoff_human(1.0, bnd_defaults),
-              -3.6296, 1e-4),
-        close("automation boundary t=0",
-              lambda: bnd.automation_boundary(0, bnd_defaults), 0.0926, 5e-4),
-        close("automation boundary t=10",
-              lambda: bnd.automation_boundary(10, bnd_defaults), 0.2010, 5e-4),
-        close("automation boundary t=20",
-              lambda: bnd.automation_boundary(20, bnd_defaults), 0.3094, 5e-4),
-        close("automated share t=0",
-              lambda: bnd.automated_share(0, bnd_defaults), 0.100009, 1e-5),
-        close("automated share t=20",
-              lambda: bnd.automated_share(20, bnd_defaults), 0.599906, 1e-5),
-        close("boundary trajectory theta 2030",
-              lambda: boundary_sim(5, "theta"), 0.1468, 5e-4),
-        close("boundary trajectory share 2030",
-              lambda: boundary_sim(5, "share"), 0.216, 5e-4),
-        close("boundary trajectory theta 2040",
-              lambda: boundary_sim(15, "theta"), 0.2552, 5e-4),
-        close("boundary trajectory share 2040",
-              lambda: boundary_sim(15, "share"), 0.478, 5e-4),
-        close("calibrated machine intercept",
-              lambda: calibrated().alpha_m, 1.3704, 5e-4),
-        close("calibrated improvement rate",
-              lambda: calibrated().gamma, 0.04336, 5e-5),
-        close("advantage grid entry (2025, theta=0.10)",
-              lambda: bnd.advantage_grid(
-                  bnd_defaults, [2025, 2045], [0.0, 0.10, 0.30]
-              )[0][1],
-              -0.0296, 1e-4),
-        close("advantage grid entry (2045, theta=0.30)",
-              lambda: bnd.advantage_grid(
-                  bnd_defaults, [2025, 2045], [0.0, 0.10, 0.30]
-              )[1][2],
-              0.0376, 1e-4),
-        close("sweep cell p=2.0 gamma=0.05",
-              lambda: sweep_cell(2.0, 0.05), 0.667, 0.0015),
-        close("sweep cell p=3.0 gamma=0.03",
-              lambda: sweep_cell(3.0, 0.03), 0.398, 0.0015),
-        close("sweep cell p=1.5 gamma=0.07",
-              lambda: sweep_cell(1.5, 0.07), 0.856, 0.0015),
-        equals("half-automation year, default boundary",
-               lambda: swp.cross50(bnd_defaults, 20), 2041),
-        contains("aggregate csv row 2026 at precision 4",
-                 lambda: scenario_csv("paper-aggregate", 4), "2026,0.1850"),
-        contains("aggregate csv row 2030 at precision 4",
-                 lambda: scenario_csv("paper-aggregate", 4), "2030,0.4152"),
-        contains("sweep csv axis row p=2.0 gamma=0.05",
-                 lambda: scenario_csv("paper-grid", 4), "2.0,5,0.05"),
+        ("beta cdf at x=0.0926, shape (2,5)",
+         lambda: reg_inc_beta(0.0926, shape25), 0.100009, 1e-5),
+        ("beta cdf at x=0.3094, shape (2,5)",
+         lambda: reg_inc_beta(0.3094, shape25), 0.599906, 1e-5),
+        ("inverse beta cdf at 0.10, shape (2,5)",
+         lambda: inv_reg_inc_beta(0.10, shape25), 0.0926, 5e-4),
+        ("simpson oracle at x=0.0926, shape (2,5)",
+         lambda: oracle_beta_cdf(0.0926, shape25, 10000), 0.100009, 1e-6),
+        ("bisection root of cdf - 0.10",
+         lambda: bisect_root(lambda x: reg_inc_beta(x, shape25) - 0.10, 0.0, 1.0, 1e-12),
+         0.0926, 5e-4),
+        ("aggregate one step from 0.10", lambda: agg.step(0.10, agg_defaults), 0.185, 1e-9),
+        ("aggregate one step from 0.185",
+         lambda: agg.step(0.185, agg_defaults), 0.25725, 1e-9),
+        ("aggregate equilibrium", lambda: agg.equilibrium(agg_defaults), 0.6667, 5e-5),
+        ("aggregate closed form t=10",
+         lambda: agg.closed_form(10, agg_defaults), 0.5551045, 1e-6),
+        ("aggregate closed form t=20",
+         lambda: agg.closed_form(20, agg_defaults), 0.6447029, 1e-6),
+        ("aggregate simulated share 2030",
+         lambda: agg.simulate(agg_defaults, 20)[5].share, 0.41523, 5e-5),
+        ("aggregate simulated share 2040",
+         lambda: agg.simulate(agg_defaults, 20)[15].share, 0.61717, 5e-5),
+        ("replicator routine step from 0.30",
+         lambda: rep.replicator_step(0.30, 0, rep_defaults.routine, 0.2), 0.3084, 1e-9),
+        ("replicator complex step from 0.05",
+         lambda: rep.replicator_step(0.05, 0, rep_defaults.complex, 0.2), 0.04335, 1e-9),
+        ("replicator routine share 2045",
+         lambda: replicator_sim(20, "x_routine"), 0.873048, 1e-5),
+        ("replicator complex share 2045",
+         lambda: replicator_sim(20, "x_complex"), 0.006080, 1e-5),
+        ("replicator total share 2045",
+         lambda: replicator_sim(20, "x_total"), 0.526261, 1e-5),
+        ("replicator routine share 2035",
+         lambda: replicator_sim(10, "x_routine"), 0.498857, 1e-5),
+        ("replicator total share 2035",
+         lambda: replicator_sim(10, "x_total"), 0.304990, 1e-5),
+        ("machine payoff at theta=0, t=0",
+         lambda: bnd.payoff_machine(0.0, 0, bnd_defaults), 1.3704, 1e-9),
+        ("payoff advantage at theta=0, t=0",
+         lambda: bnd.payoff_machine(0.0, 0, bnd_defaults)
+         - bnd.payoff_human(0.0, bnd_defaults),
+         0.3704, 1e-4),
+        ("payoff advantage at theta=1, t=0",
+         lambda: bnd.payoff_machine(1.0, 0, bnd_defaults)
+         - bnd.payoff_human(1.0, bnd_defaults),
+         -3.6296, 1e-4),
+        ("automation boundary t=0",
+         lambda: bnd.automation_boundary(0, bnd_defaults), 0.0926, 5e-4),
+        ("automation boundary t=10",
+         lambda: bnd.automation_boundary(10, bnd_defaults), 0.2010, 5e-4),
+        ("automation boundary t=20",
+         lambda: bnd.automation_boundary(20, bnd_defaults), 0.3094, 5e-4),
+        ("automated share t=0", lambda: bnd.automated_share(0, bnd_defaults), 0.100009, 1e-5),
+        ("automated share t=20",
+         lambda: bnd.automated_share(20, bnd_defaults), 0.599906, 1e-5),
+        ("boundary trajectory theta 2030", lambda: boundary_sim(5, "theta"), 0.1468, 5e-4),
+        ("boundary trajectory share 2030", lambda: boundary_sim(5, "share"), 0.216, 5e-4),
+        ("boundary trajectory theta 2040", lambda: boundary_sim(15, "theta"), 0.2552, 5e-4),
+        ("boundary trajectory share 2040", lambda: boundary_sim(15, "share"), 0.478, 5e-4),
+        ("calibrated machine intercept", lambda: calibrated().alpha_m, 1.3704, 5e-4),
+        ("calibrated improvement rate", lambda: calibrated().gamma, 0.04336, 5e-5),
+        ("advantage grid entry (2025, theta=0.10)",
+         lambda: bnd.advantage_grid(bnd_defaults, [2025, 2045], [0.0, 0.10, 0.30])[0][1],
+         -0.0296, 1e-4),
+        ("advantage grid entry (2045, theta=0.30)",
+         lambda: bnd.advantage_grid(bnd_defaults, [2025, 2045], [0.0, 0.10, 0.30])[1][2],
+         0.0376, 1e-4),
+        ("sweep cell p=2.0 gamma=0.05", lambda: grid_shares()[2.0, 0.05], 0.667, 0.0015),
+        ("sweep cell p=3.0 gamma=0.03", lambda: grid_shares()[3.0, 0.03], 0.398, 0.0015),
+        ("sweep cell p=1.5 gamma=0.07", lambda: grid_shares()[1.5, 0.07], 0.856, 0.0015),
+        ("half-automation year, default boundary",
+         lambda: swp.cross50(bnd_defaults, 20), 2041, None),
+        ("aggregate csv row 2026 at precision 4",
+         lambda: scenario_csv("paper-aggregate", 4), "2026,0.1850", None),
+        ("aggregate csv row 2030 at precision 4",
+         lambda: scenario_csv("paper-aggregate", 4), "2030,0.4152", None),
+        ("sweep csv axis row p=2.0 gamma=0.05",
+         lambda: scenario_csv("paper-grid", 4), "2.0,5,0.05", None),
     ]
 
 
 def verify_goldens() -> tuple[str, bool]:
-    """Run every embedded golden check; returns (report text, all passed)."""
+    """Run every embedded golden check; returns (report text, all passed).
+
+    A float ``want`` passes within ``tol``, a string ``want`` must occur in
+    the computed text, and any other ``want`` must equal the computed value.
+    """
     lines = []
     passed = 0
     checks = _golden_checks()
-    for name, check in checks:
+    for name, compute, want, tol in checks:
         try:
-            ok, detail = check()
+            got = compute()
+            if isinstance(want, float):
+                ok = abs(got - want) <= tol
+                detail = f"got {got:.10f}, want {want:.10f} within {tol:g}"
+            elif isinstance(want, str):
+                ok = want in got
+                detail = f"expected substring {want!r}"
+            else:
+                ok = got == want
+                detail = f"got {got!r}, want {want!r}"
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         status = "ok  " if ok else "FAIL"

@@ -26,6 +26,7 @@ _RIGHT = _WIDTH - 20.0
 _TOP = 20.0
 _BOTTOM = _HEIGHT - 48.0
 _TICK_LEN = 5.0
+_TICK_TARGET = 5  # tick intervals each axis aims for
 _FONT = "font-family=\"sans-serif\" font-size=\"12\""
 
 _SERIES_COLORS = ("#1f6fb4", "#d1495b", "#3a7d44", "#8a5fb0")
@@ -47,11 +48,11 @@ def _fmt_tick(value: float) -> str:
     return f"{value:.4f}".rstrip("0").rstrip(".")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi], at most ~target+1 of them."""
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], at most ~_TICK_TARGET+1 of them."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import workmix.aggregate
+import workmix.cli
 import workmix.lattice
 import workmix.sweep
 from workmix import ChartError, DomainError, ParamError, ParseError, ValidationError
@@ -213,6 +216,14 @@ class TestEmitSvg:
         assert document.count("<rect") == 25
         assert document.count("<polyline") == 0
 
+    def test_boundary_heatmap_without_config(self):
+        data = run_config(builtin_scenario("paper-boundary")).data
+        with pytest.raises(ChartError) as excinfo:
+            emit_svg(RunResult("boundary", data), "heatmap")
+        assert str(excinfo.value) == (
+            "boundary heatmap needs the run's config, and this result has none"
+        )
+
     def test_chart_model_mismatch(self):
         result = run_config(builtin_scenario("paper-aggregate"))
         with pytest.raises(ChartError):
@@ -284,6 +295,84 @@ class TestVerify:
         assert calls[0] == 2
         verify_goldens()
         assert calls[0] == 4
+
+
+def _report_failures(report: str) -> list[str]:
+    """The FAIL lines of a verify report, then its count line."""
+    lines = report.splitlines()
+    return [line for line in lines if line.startswith("FAIL")] + lines[-1:]
+
+
+def _raise_computation_error(x, shape, intervals):
+    raise workmix.ComputationError("oracle failed")
+
+
+class TestVerifyReport:
+    """The report's bytes: the passing one by SHA-256, and one failure of each kind."""
+
+    def test_passing_report_digest(self):
+        report, all_passed = verify_goldens()
+        assert all_passed
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "266a4f1c9007188dd56c05119b3641d3ea740c733603ca32e2daa67ae402b630"
+        )
+
+    @pytest.mark.parametrize("module,name,replacement,failures", [
+        pytest.param(workmix.aggregate, "closed_form", lambda t, params: 0.0, [
+            "FAIL aggregate closed form t=10                 "
+            "got 0.0000000000, want 0.5551045000 within 1e-06",
+            "FAIL aggregate closed form t=20                 "
+            "got 0.0000000000, want 0.6447029000 within 1e-06",
+            "40/42 golden checks passed",
+        ], id="number-out-of-tolerance"),
+        pytest.param(workmix.sweep, "cross50", lambda params, horizon, bracket=None: 2040, [
+            "FAIL half-automation year, default boundary     got 2040, want 2041",
+            "41/42 golden checks passed",
+        ], id="exact-value"),
+        pytest.param(workmix.cli, "emit_csv", lambda result, precision=6: "", [
+            "FAIL aggregate csv row 2026 at precision 4      expected substring '2026,0.1850'",
+            "FAIL aggregate csv row 2030 at precision 4      expected substring '2030,0.4152'",
+            "FAIL sweep csv axis row p=2.0 gamma=0.05        expected substring '2.0,5,0.05'",
+            "39/42 golden checks passed",
+        ], id="substring"),
+        pytest.param(workmix.cli, "oracle_beta_cdf", _raise_computation_error, [
+            "FAIL simpson oracle at x=0.0926, shape (2,5)    "
+            "raised ComputationError: oracle failed",
+            "41/42 golden checks passed",
+        ], id="crash"),
+    ])
+    def test_failure_lines(self, monkeypatch, module, name, replacement, failures):
+        monkeypatch.setattr(module, name, replacement)
+        report, all_passed = verify_goldens()
+        assert not all_passed
+        assert _report_failures(report) == failures
+
+
+class TestGoldenTable:
+    """The golden table, the report's count and the README agree."""
+
+    def test_names_are_unique(self):
+        names = [name for name, _, _, _ in workmix.cli._golden_checks()]
+        assert len(names) == len(set(names))
+
+    def test_every_row_is_one_kind(self):
+        # A float want needs a positive tolerance; a string (substring) or any
+        # other (exact) want takes none.
+        for name, compute, want, tol in workmix.cli._golden_checks():
+            assert callable(compute), name
+            if isinstance(want, float):
+                assert isinstance(tol, float) and tol > 0, name
+            else:
+                assert tol is None, name
+
+    def test_row_count_matches_readme(self):
+        path = Path(__file__).resolve().parents[1] / "README.md"
+        readme = path.read_text(encoding="utf-8")
+        counts = re.findall(r"(\d+)(?: built-in)? golden (?:checks|values)", readme)
+        assert len(counts) >= 3
+        rows = len(workmix.cli._golden_checks())
+        assert {int(count) for count in counts} == {rows}
+        assert verify_goldens()[0].endswith(f"{rows}/{rows} golden checks passed\n")
 
 
 class TestMain:
