@@ -229,8 +229,8 @@ def _keys(kind: Any, *required: str, **optional: Any) -> tuple[_Key, ...]:
 
 
 # Size caps, which bound the time and memory of a run.  A lattice keeps one
-# allocation of up to n_tasks tasks per year: 10,000 tasks over 1000 years
-# stay within a few hundred MB.
+# count per year and each task id once; the caps bound the scan, which
+# compares every task every year: 10,000 tasks over 1000 years.
 _MAX_YEARS = 1000
 _MAX_TASKS = 10_000
 _MAX_SWEEP_CELLS = 10_000
@@ -332,12 +332,10 @@ class LatticeRun:
             return lat.linear_universe(
                 thetas, p["alpha_h"], p["beta_h"], p["alpha_m"], p["beta_m"], p["gamma"]
             )
-        alpha_h, beta_h = p["alpha_h"], p["beta_h"]
-        intercept, slope = p["limit_intercept"], p["limit_slope"]
         return lat.saturating_universe(
             thetas,
-            lambda theta: alpha_h + beta_h * theta,
-            lambda theta: intercept - slope * theta,
+            lat.Line(p["alpha_h"], p["beta_h"]),
+            lat.Line(p["limit_intercept"], -p["limit_slope"]),
         )
 
 
@@ -364,8 +362,8 @@ def _sweep_rows(cells: Any, num: Callable[[float], str]) -> Iterable[str]:
 
 def _lattice_rows(data: Any, num: Callable[[float], str]) -> Iterable[str]:
     trace, n_tasks = data
-    for t, allocation in enumerate(trace.iterations):
-        yield f"{t},{len(allocation.automated)},{num(allocation.fraction(n_tasks))}"
+    for t, count in enumerate(trace.counts):
+        yield f"{t},{count},{num(count / n_tasks)}"
 
 
 def _share_line(result: RunResult) -> str:
@@ -384,10 +382,7 @@ def _replicator_lines(result: RunResult) -> str:
 
 def _lattice_line(result: RunResult) -> str:
     trace, n_tasks = result.data
-    points = [
-        (float(t), allocation.fraction(n_tasks))
-        for t, allocation in enumerate(trace.iterations)
-    ]
+    points = [(float(t), count / n_tasks) for t, count in enumerate(trace.counts)]
     return svgplot.line_chart(points, x_label="t", y_label="share")
 
 
@@ -395,6 +390,8 @@ def _boundary_heatmap(result: RunResult) -> str:
     """Payoff advantage over (year, theta), with the boundary overlaid."""
     if result.config is None:
         raise ChartError("boundary heatmap needs the run's config, and this result has none")
+    if result.config.model != "boundary":
+        raise ChartError(f"boundary heatmap needs a boundary config, got {result.config.model!r}")
     params, horizon = result.config.build()
     years = [params.start_year + t for t in range(horizon + 1)]
     thetas = [round(0.1 * j, 10) for j in range(11)]

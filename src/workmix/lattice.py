@@ -13,18 +13,32 @@ Three schedule families cover the interesting regimes: linear growth (never
 saturates, so eventually everything is automated), geometric saturation
 toward a finite limit (a nontrivial split can persist), and explicit
 year-by-year tables (exact saturation after the last row).  Each family
-evaluates its per-task values once, when it builds the universe.
+evaluates a task's values once: when it builds the universe or, under the
+premise below, when they are first read.
+
+The linear and saturating families automate a prefix of the ids in every
+year when the thetas are Beta quantiles with p, q in [1e-3, 1e3] (they never
+decrease in the id: two could swap only if their targets, 1/n >= 1e-4 apart,
+were within twice the forward CDF's tested error of 1e-12), the human utility
+is a :class:`Line` of slope >= 0, the machine's base (the linear year-zero
+value, the saturating limit) one of slope <= 0, and the last saturating
+limit is >= 0.  ``run_delegation`` then searches each year's count up from
+last year's, computing a task's values only when the search reads them.
+Anything else is scanned task by task, with the same counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple
 
 from .errors import DomainError, MonotonicityError, ParamError
 from .numerics import BetaShape, inv_reg_inc_beta
 
 __all__ = [
+    "Line",
     "TaskUniverse",
     "Allocation",
     "DelegationTrace",
@@ -38,6 +52,35 @@ __all__ = [
 ]
 
 
+class _Lazy(Sequence):
+    """Read-only ``value(i)`` for i < n, each computed when first read, then kept."""
+
+    def __init__(self, n: int, value: Callable[[int], Any], ordered: bool = False) -> None:
+        self._n, self._value, self._kept = n, value, {}
+        self.ordered = ordered  # known never to decrease in i
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        i = range(self._n)[index]
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
+        if i not in self._kept:
+            self._kept[i] = self._value(i)
+        return self._kept[i]
+
+
+class Line(NamedTuple):
+    """The utility ``intercept + slope * theta``."""
+
+    intercept: float
+    slope: float
+
+    def __call__(self, theta: float) -> float:
+        return self.intercept + self.slope * theta
+
+
 @dataclass(frozen=True)
 class TaskUniverse:
     """Per-task values plus the machine schedule, one row per year.
@@ -45,18 +88,22 @@ class TaskUniverse:
     ``thetas``, ``human`` and ``limit`` hold one value per task, task i at
     position i; every theta lies in [0, 1].  ``machine(t)`` returns every
     task's machine utility at year offset t and is expected to be
-    non-decreasing in t for every task (checked during delegation runs);
-    ``limit`` is its declared asymptote.
+    non-decreasing in t for every task (checked when the run scans);
+    ``limit`` is its declared asymptote.  ``prefix`` means the module's
+    premise holds: the machine wins a prefix of the ids in every row.
     """
 
-    thetas: tuple[float, ...]
-    human: tuple[float, ...]
-    limit: tuple[float, ...]
+    thetas: Sequence[float]
+    human: Sequence[float]
+    limit: Sequence[float]
     machine: Callable[[int], Sequence[float]]
+    prefix: bool = False
 
     def __post_init__(self) -> None:
         if not len(self.thetas) == len(self.human) == len(self.limit):
             raise ParamError("thetas, human and limit need one value per task")
+        if isinstance(self.thetas, _Lazy):
+            return  # Beta quantiles lie in [0, 1]; checking would invert them all
         for index, theta in enumerate(self.thetas):
             if not 0.0 <= theta <= 1.0:
                 raise ParamError(f"task {index} has theta {theta} outside [0, 1]")
@@ -80,18 +127,40 @@ class Allocation:
 
 @dataclass(frozen=True)
 class DelegationTrace:
-    """Allocation sequence; converged_at is None when the run was truncated."""
+    """Row k automates the first ``counts[k]`` ids of ``order``; row 0 is the empty start.
 
-    iterations: tuple[Allocation, ...]
+    Row k > 0 is year offset k - 1.  ``converged_at`` is None if the run was
+    truncated; ``iterations`` and ``final`` build each :class:`Allocation` when read.
+    """
+
+    counts: tuple[int, ...]
+    order: tuple[int, ...]
     converged_at: int | None
+
+    @property
+    def iterations(self) -> Sequence[Allocation]:
+        return _Lazy(
+            len(self.counts), lambda k: Allocation(frozenset(self.order[: self.counts[k]]))
+        )
 
     @property
     def final(self) -> Allocation:
         return self.iterations[-1]
 
 
+def _prefix_count(row: Sequence[float], human: Sequence[float], start: int) -> int:
+    """First id from ``start`` on (all below go to the machine) where the human wins."""
+    lo, hi, step = start, start, 1  # gallop, then bisect: probes stay near ``start``
+    while hi < len(human) and row[hi] >= human[hi]:
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    loses = lambda i: not row[i] >= human[i]
+    return bisect_left(range(min(hi, len(human))), True, lo, key=loses)
+
+
 def _machine_wins(universe: TaskUniverse, row: Sequence[float]) -> frozenset[int]:
     """Ids of the tasks whose machine value in ``row`` weakly beats the human one."""
+    if universe.prefix:
+        return frozenset(range(_prefix_count(row, universe.human, 0)))
     return frozenset(i for i, (m, h) in enumerate(zip(row, universe.human)) if m >= h)
 
 
@@ -116,9 +185,9 @@ def run_delegation(
     consecutive iterations, or as soon as it equals the asymptotic fixed
     point; ``converged_at`` is the index where the settled value first
     appeared.  If ``max_years`` passes without either signal the trace is
-    returned with ``converged_at`` None.  Any shrinkage of the allocation
-    between consecutive years raises :class:`MonotonicityError`, since it
-    means machine utility decreased in t.
+    returned with ``converged_at`` None.  A ``prefix`` universe is searched;
+    in any other, a shrinking allocation raises :class:`MonotonicityError`,
+    since it means machine utility decreased in t.
     """
     if max_years < 1:
         raise DomainError(f"max_years must be >= 1, got {max_years}")
@@ -126,37 +195,55 @@ def run_delegation(
         raise DomainError(
             f"stability_window must be >= 1, got {stability_window}"
         )
-    target = fixed_point_oracle(universe)
-    iterations = [Allocation()]
-    converged_at: int | None = None
-    run_start = 0
+    target = fixed_point_oracle(universe).automated
+    counts, order, previous, run_start = [0], [], frozenset(), 0
     for t in range(max_years):
-        current = delegation_map(universe, t)
-        previous = iterations[-1]
-        if not previous.automated <= current.automated:
-            lost = sorted(previous.automated - current.automated)
-            raise MonotonicityError(
-                f"allocation shrank at t={t}: lost task ids {lost} "
-                "(machine utility is not non-decreasing in t)"
-            )
-        iterations.append(current)
-        index = len(iterations) - 1
-        if current.automated != previous.automated:
-            run_start = index
-        if current.automated == target.automated:
-            converged_at = run_start
-            break
-        if index - run_start >= stability_window:
-            converged_at = run_start
-            break
-    return DelegationTrace(tuple(iterations), converged_at)
+        if universe.prefix:
+            reached = _prefix_count(universe.machine(t), universe.human, len(order))
+            gained, settled = range(len(order), reached), reached == len(target)
+        else:
+            current = delegation_map(universe, t).automated
+            if not previous <= current:
+                lost = sorted(previous - current)
+                raise MonotonicityError(
+                    f"allocation shrank at t={t}: lost task ids {lost} "
+                    "(machine utility is not non-decreasing in t)"
+                )
+            gained, settled, previous = sorted(current - previous), current == target, current
+        order.extend(gained)
+        counts.append(len(order))
+        if gained:
+            run_start = len(counts) - 1
+        if settled or len(counts) - 1 - run_start >= stability_window:
+            return DelegationTrace(tuple(counts), tuple(order), run_start)
+    return DelegationTrace(tuple(counts), tuple(order), None)
 
 
-def beta_quantile_thetas(n: int, shape: BetaShape) -> tuple[float, ...]:
-    """Deterministic intricacy values: Beta(p, q) quantiles at (i + 0.5) / n."""
+def beta_quantile_thetas(n: int, shape: BetaShape) -> Sequence[float]:
+    """Deterministic intricacy values: Beta(p, q) quantiles at (i + 0.5) / n.
+
+    Read-only; each quantile is inverted when first read, then kept.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return tuple(inv_reg_inc_beta((i + 0.5) / n, shape) for i in range(n))
+    tested = 1e-3 <= shape.p <= 1e3 and 1e-3 <= shape.q <= 1e3
+    return _Lazy(n, lambda i: inv_reg_inc_beta((i + 0.5) / n, shape), ordered=tested)
+
+
+def _thetas(thetas: Sequence[float], human: Callable, base: Callable, saturating: bool):
+    """The thetas, still lazy if the module's premise holds, else as floats."""
+    if (isinstance(thetas, _Lazy) and thetas.ordered and isinstance(human, Line)
+            and isinstance(base, Line) and human.slope >= 0 and base.slope <= 0
+            and not (saturating and base(thetas[-1]) < 0)):
+        return thetas
+    return tuple(map(float, thetas))
+
+
+def _per_task(values: Sequence[float], formula: Callable[[float], float]) -> Sequence[float]:
+    """``formula(value)`` for each task: when first read if ``values`` is lazy, else now."""
+    if isinstance(values, _Lazy):
+        return _Lazy(len(values), lambda i: formula(values[i]))
+    return tuple(map(formula, values))
 
 
 def linear_universe(
@@ -175,14 +262,16 @@ def linear_universe(
     """
     if not gamma > 0:
         raise ParamError(f"gamma must be positive, got {gamma}")
-    thetas = tuple(float(theta) for theta in thetas)
-    base = tuple(alpha_m - beta_m * theta for theta in thetas)
+    human_utility, machine_base = Line(alpha_h, beta_h), Line(alpha_m, -beta_m)
+    thetas = _thetas(thetas, human_utility, machine_base, saturating=False)
+    base = _per_task(thetas, machine_base)
 
-    def machine(t: int) -> tuple[float, ...]:
-        return tuple(value + gamma * t for value in base)
+    def machine(t: int) -> Sequence[float]:
+        return _per_task(base, lambda value: value + gamma * t)
 
-    human = tuple(alpha_h + beta_h * theta for theta in thetas)
-    return TaskUniverse(thetas, human, (float("inf"),) * len(thetas), machine)
+    human = _per_task(thetas, human_utility)
+    inf = (float("inf"),) * len(thetas)
+    return TaskUniverse(thetas, human, inf, machine, prefix=isinstance(thetas, _Lazy))
 
 
 def saturating_universe(
@@ -192,24 +281,26 @@ def saturating_universe(
 ) -> TaskUniverse:
     """Machine utility limit(theta) * (1 - 2**-t), saturating geometrically.
 
-    ``human_utility`` and ``machine_limit`` are called once per task.
+    ``human_utility`` and ``machine_limit`` are called at most once per
+    task; given as :class:`Line` objects they admit the prefix search.
     Requires a non-negative limit on every task; a negative limit would make
     the schedule decrease in t.
     """
-    thetas = tuple(float(theta) for theta in thetas)
-    limit = tuple(machine_limit(theta) for theta in thetas)
-    for theta, value in zip(thetas, limit):
+    thetas = _thetas(thetas, human_utility, machine_limit, saturating=True)
+    prefix = isinstance(thetas, _Lazy)  # then the last limit, the least, is >= 0
+    limit = _per_task(thetas, machine_limit)
+    for theta, value in zip(thetas, () if prefix else limit):
         if value < 0:
             raise ParamError(
                 f"machine limit is negative at theta={theta}; "
                 "the saturating schedule would decrease in t"
             )
 
-    def machine(t: int) -> tuple[float, ...]:
-        return tuple(value * (1.0 - 2.0**-t) for value in limit)
+    def machine(t: int) -> Sequence[float]:
+        return _per_task(limit, lambda value: value * (1.0 - 2.0**-t))
 
-    human = tuple(human_utility(theta) for theta in thetas)
-    return TaskUniverse(thetas, human, limit, machine)
+    human = _per_task(thetas, human_utility)
+    return TaskUniverse(thetas, human, limit, machine, prefix)
 
 
 def table_universe(

@@ -224,6 +224,14 @@ class TestEmitSvg:
             "boundary heatmap needs the run's config, and this result has none"
         )
 
+    def test_boundary_heatmap_with_another_models_config(self):
+        data = run_config(builtin_scenario("paper-boundary")).data
+        with pytest.raises(ChartError) as excinfo:
+            emit_svg(RunResult("boundary", data, builtin_scenario("paper-aggregate")), "heatmap")
+        assert str(excinfo.value) == (
+            "boundary heatmap needs a boundary config, got 'aggregate'"
+        )
+
     def test_chart_model_mismatch(self):
         result = run_config(builtin_scenario("paper-aggregate"))
         with pytest.raises(ChartError):
@@ -841,6 +849,26 @@ class TestLatticeBuildCount:
         assert calls[0] == 0
         run_config(config)
         assert calls[0] == 1
+
+
+class TestLatticeQuantileWork:
+    """The prefix search inverts only the Beta quantiles it reads."""
+
+    @pytest.mark.parametrize("params,bound", [
+        ({"family": "linear"}, 450),
+        ({"family": "linear", "n_tasks": 10_000}, 1000),
+    ], ids=["default", "ten-thousand-tasks"])
+    def test_inverse_calls_per_run(self, monkeypatch, params, bound):
+        calls = [0]
+        original = workmix.lattice.inv_reg_inc_beta
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(workmix.lattice, "inv_reg_inc_beta", counted)
+        run_config(load_config(json.dumps({"model": "lattice", "params": params})))
+        assert 0 < calls[0] <= bound
 
 
 _AGG_TEXT = '{"model": "aggregate", "params": {"alpha": 0.1, "beta": 0.05, "x0": 0.1'

@@ -8,6 +8,7 @@ from workmix import (
     Allocation,
     BetaShape,
     DomainError,
+    Line,
     MonotonicityError,
     ParamError,
     TaskUniverse,
@@ -352,3 +353,83 @@ class TestAgainstReferenceScan:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_table(self, case, max_years, window):
         self.check(case, max_years, window)
+
+
+shapes = st.one_of(st.floats(min_value=0.3, max_value=9.0), st.sampled_from([1e-3, 1e3]))
+negative_slopes = st.floats(min_value=-1.0, max_value=-1e-3)
+slopes = st.one_of(coefficients, negative_slopes)
+
+
+@st.composite
+def quantile_cases(draw):
+    """Linear and saturating universes over Beta quantiles, as the CLI builds them.
+
+    Returns the case for ``check`` and whether the prefix premise holds:
+    slopes are drawn negative as well, and those universes must be scanned.
+    """
+    n = draw(st.integers(min_value=1, max_value=150))
+    thetas = beta_quantile_thetas(n, BetaShape(draw(shapes), draw(shapes)))
+    a_h, b_h = draw(coefficients), draw(slopes)
+    if draw(st.booleans()):
+        a_m, b_m = draw(coefficients), draw(slopes)
+        gamma = draw(st.floats(min_value=1e-3, max_value=0.5))
+        case = (
+            linear_universe(thetas, a_h, b_h, a_m, b_m, gamma),
+            lambda i: a_h + b_h * thetas[i],
+            lambda t, i: a_m - b_m * thetas[i] + gamma * t,
+            lambda i: float("inf"),
+        )
+        return case, b_h >= 0 and b_m >= 0
+    c = draw(coefficients)
+    slope = draw(st.one_of(st.floats(min_value=0.0, max_value=c), negative_slopes))
+    case = (
+        saturating_universe(thetas, Line(a_h, b_h), Line(c, -slope)),
+        lambda i: a_h + b_h * thetas[i],
+        lambda t, i: (c - slope * thetas[i]) * (1.0 - 2.0**-t),
+        lambda i: c - slope * thetas[i],
+    )
+    return case, b_h >= 0 and slope >= 0
+
+
+class TestPrefixSearch:
+    """The prefix search gives the task-by-task scan's counts and stop."""
+
+    @given(quantile_cases(), st.integers(1, 90), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_reference_scan(self, drawn, max_years, window):
+        case, searched = drawn
+        assert case[0].prefix == searched
+        TestAgainstReferenceScan.check(case, max_years, window)
+
+    def test_negative_last_limit_is_scanned(self):
+        # Limits 1 - 2 theta fall below zero within the task list, so the
+        # search's premise fails and the scan names the first negative limit.
+        thetas = beta_quantile_thetas(20, BetaShape(2.0, 5.0))
+        with pytest.raises(ParamError, match="negative at theta=0.5416726198054462"):
+            saturating_universe(thetas, Line(1.0, 1.5), Line(1.0, -2.0))
+
+    def test_plain_callables_and_listed_thetas_are_scanned(self):
+        thetas = beta_quantile_thetas(20, BetaShape(2.0, 5.0))
+        assert not saturating_universe(thetas, lambda th: 1.0, Line(2.0, -1.0)).prefix
+        assert not linear_universe(list(thetas), 1.0, 1.5, 1.3704, 2.5, 0.04336).prefix
+        assert not linear_universe(
+            beta_quantile_thetas(20, BetaShape(5e-4, 2.0)), 1.0, 1.5, 1.3704, 2.5, 0.04336
+        ).prefix
+
+    def test_searched_trace_frozen(self):
+        # Beta(1, 1) quantiles 0.125, ..., 0.875 and limits 2 - theta, all
+        # above the human 1.0: three tasks cross at t = 2, one short of the
+        # fixed point, and the last one at t = 4.
+        thetas = beta_quantile_thetas(4, BetaShape(1.0, 1.0))
+        searched = saturating_universe(thetas, Line(1.0, 0.0), Line(2.0, -1.0))
+        scanned = saturating_universe(list(thetas), Line(1.0, 0.0), Line(2.0, -1.0))
+        assert searched.prefix and not scanned.prefix
+        trace = run_delegation(searched, 30)
+        assert trace == run_delegation(scanned, 30)
+        assert trace.counts == (0, 0, 0, 3, 3, 4)
+        assert trace.order == (0, 1, 2, 3)
+        assert trace.converged_at == 5
+        assert trace.final == Allocation(frozenset({0, 1, 2, 3}))
+        truncated = run_delegation(searched, 3)
+        assert truncated == run_delegation(scanned, 3)
+        assert truncated.counts == (0, 0, 0, 3) and truncated.converged_at is None

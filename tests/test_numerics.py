@@ -311,6 +311,13 @@ class TestWorkCounts:
         beta_quantile_thetas(400, shape)
         assert calls[0] / 400 <= 10
 
+    def test_cdf_evaluations_per_forced_quantile(self, monkeypatch):
+        # The quantiles are inverted when read, so read all of them.
+        shape = BetaShape(2.0, 5.0)
+        calls = count_calls(monkeypatch, workmix.numerics, "reg_inc_beta")
+        assert len(tuple(beta_quantile_thetas(400, shape))) == 400
+        assert 400 <= calls[0] <= 400 * 10
+
 
 class TestQuadratureOracle:
     def test_frozen_value(self):
