@@ -340,10 +340,8 @@ class LatticeRun:
 
 
 def _run_lattice(run: LatticeRun) -> tuple[lat.DelegationTrace, int]:
-    universe = run.build_universe()
-    controls = run.params
-    trace = lat.run_delegation(universe, controls["max_years"], controls["stability_window"])
-    return trace, len(universe)
+    universe, p = run.build_universe(), run.params
+    return lat.run_delegation(universe, p["max_years"], p["stability_window"]), len(universe)
 
 
 # ---------------------------------------------------------------------------

@@ -13,26 +13,22 @@ Three schedule families cover the interesting regimes: linear growth (never
 saturates, so eventually everything is automated), geometric saturation
 toward a finite limit (a nontrivial split can persist), and explicit
 year-by-year tables (exact saturation after the last row).  Each family
-evaluates a task's values once: when it builds the universe or, under the
-premise below, when they are first read.
+evaluates a task's values at most once.
 
-The linear and saturating families automate a prefix of the ids in every
-year when the thetas are Beta quantiles with p, q in [1e-3, 1e3] (they never
-decrease in the id: two could swap only if their targets, 1/n >= 1e-4 apart,
-were within twice the forward CDF's tested error of 1e-12), the human utility
-is a :class:`Line` of slope >= 0, the machine's base (the linear year-zero
-value, the saturating limit) one of slope <= 0, and the last saturating
-limit is >= 0.  ``run_delegation`` then searches each year's count up from
-last year's, computing a task's values only when the search reads them.
-Anything else is scanned task by task, with the same counts.
+Premise: Beta-quantile thetas, p and q in [1e-3, 1e3] (never decreasing in the
+id, as the CDF's error of 1e-12 is far below the 1/n between targets), a human
+:class:`Line` of slope >= 0, a machine base (linear year-zero value, saturating
+limit) :class:`Line` of slope <= 0, and a last saturating limit >= 0.  Then the
+machine wins a prefix of the ids every year and ``run_delegation`` bisects for
+its length, computing a task's values only when read; else it scans every task.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from functools import cache
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityError, ParamError
 from .numerics import BetaShape, inv_reg_inc_beta
@@ -53,22 +49,21 @@ __all__ = [
 
 
 class _Lazy(Sequence):
-    """Read-only ``value(i)`` for i < n, each computed when first read, then kept."""
+    """Read-only ``formula(values[i])``, each computed when first read, then kept."""
 
-    def __init__(self, n: int, value: Callable[[int], Any], ordered: bool = False) -> None:
-        self._n, self._value, self._kept = n, value, {}
-        self.ordered = ordered  # known never to decrease in i
+    def __init__(self, values: Sequence, formula: Callable) -> None:
+        self._n, self._value = len(values), cache(lambda i: formula(values[i]))
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, index):
         i = range(self._n)[index]
-        if isinstance(i, range):
-            return tuple(map(self.__getitem__, i))
-        if i not in self._kept:
-            self._kept[i] = self._value(i)
-        return self._kept[i]
+        return tuple(map(self._value, i)) if isinstance(i, range) else self._value(i)
+
+
+class _Quantiles(_Lazy):
+    """Beta quantiles with p and q in [1e-3, 1e3], one theta of the module's premise."""
 
 
 class Line(NamedTuple):
@@ -88,21 +83,19 @@ class TaskUniverse:
     ``thetas``, ``human`` and ``limit`` hold one value per task, task i at
     position i; every theta lies in [0, 1].  ``machine(t)`` returns every
     task's machine utility at year offset t and is expected to be
-    non-decreasing in t for every task (checked when the run scans);
-    ``limit`` is its declared asymptote.  ``prefix`` means the module's
-    premise holds: the machine wins a prefix of the ids in every row.
+    non-decreasing in t for every task (checked during delegation runs);
+    ``limit`` is its declared asymptote.
     """
 
     thetas: Sequence[float]
     human: Sequence[float]
     limit: Sequence[float]
     machine: Callable[[int], Sequence[float]]
-    prefix: bool = False
 
     def __post_init__(self) -> None:
         if not len(self.thetas) == len(self.human) == len(self.limit):
             raise ParamError("thetas, human and limit need one value per task")
-        if isinstance(self.thetas, _Lazy):
+        if isinstance(self, _PrefixUniverse):
             return  # Beta quantiles lie in [0, 1]; checking would invert them all
         for index, theta in enumerate(self.thetas):
             if not 0.0 <= theta <= 1.0:
@@ -110,6 +103,10 @@ class TaskUniverse:
 
     def __len__(self) -> int:
         return len(self.thetas)
+
+
+class _PrefixUniverse(TaskUniverse):
+    """Built only when the module's premise holds: the machine wins a prefix of the ids."""
 
 
 @dataclass(frozen=True)
@@ -127,39 +124,30 @@ class Allocation:
 
 @dataclass(frozen=True)
 class DelegationTrace:
-    """Row k automates the first ``counts[k]`` ids of ``order``; row 0 is the empty start.
-
-    Row k > 0 is year offset k - 1.  ``converged_at`` is None if the run was
-    truncated; ``iterations`` and ``final`` build each :class:`Allocation` when read.
-    """
+    """Row k automates the first ``counts[k]`` ids of ``order``: the empty start, then
+    year offset k - 1.  ``converged_at`` is None when the run was truncated."""
 
     counts: tuple[int, ...]
     order: tuple[int, ...]
     converged_at: int | None
 
     @property
-    def iterations(self) -> Sequence[Allocation]:
-        return _Lazy(
-            len(self.counts), lambda k: Allocation(frozenset(self.order[: self.counts[k]]))
-        )
+    def iterations(self) -> tuple[Allocation, ...]:
+        return tuple(Allocation(frozenset(self.order[:count])) for count in self.counts)
 
     @property
     def final(self) -> Allocation:
-        return self.iterations[-1]
+        return Allocation(frozenset(self.order[: self.counts[-1]]))
 
 
 def _prefix_count(row: Sequence[float], human: Sequence[float], start: int) -> int:
     """First id from ``start`` on (all below go to the machine) where the human wins."""
-    lo, hi, step = start, start, 1  # gallop, then bisect: probes stay near ``start``
-    while hi < len(human) and row[hi] >= human[hi]:
-        lo, hi, step = hi + 1, hi + step, 2 * step
-    loses = lambda i: not row[i] >= human[i]
-    return bisect_left(range(min(hi, len(human))), True, lo, key=loses)
+    return bisect_left(range(len(human)), True, start, key=lambda i: not row[i] >= human[i])
 
 
 def _machine_wins(universe: TaskUniverse, row: Sequence[float]) -> frozenset[int]:
     """Ids of the tasks whose machine value in ``row`` weakly beats the human one."""
-    if universe.prefix:
+    if isinstance(universe, _PrefixUniverse):
         return frozenset(range(_prefix_count(row, universe.human, 0)))
     return frozenset(i for i, (m, h) in enumerate(zip(row, universe.human)) if m >= h)
 
@@ -185,8 +173,8 @@ def run_delegation(
     consecutive iterations, or as soon as it equals the asymptotic fixed
     point; ``converged_at`` is the index where the settled value first
     appeared.  If ``max_years`` passes without either signal the trace is
-    returned with ``converged_at`` None.  A ``prefix`` universe is searched;
-    in any other, a shrinking allocation raises :class:`MonotonicityError`,
+    returned with ``converged_at`` None.  Unless searched (see the module
+    docstring), a shrinking allocation raises :class:`MonotonicityError`,
     since it means machine utility decreased in t.
     """
     if max_years < 1:
@@ -198,15 +186,14 @@ def run_delegation(
     target = fixed_point_oracle(universe).automated
     counts, order, previous, run_start = [0], [], frozenset(), 0
     for t in range(max_years):
-        if universe.prefix:
+        if isinstance(universe, _PrefixUniverse):
             reached = _prefix_count(universe.machine(t), universe.human, len(order))
             gained, settled = range(len(order), reached), reached == len(target)
         else:
             current = delegation_map(universe, t).automated
             if not previous <= current:
-                lost = sorted(previous - current)
                 raise MonotonicityError(
-                    f"allocation shrank at t={t}: lost task ids {lost} "
+                    f"allocation shrank at t={t}: lost task ids {sorted(previous - current)} "
                     "(machine utility is not non-decreasing in t)"
                 )
             gained, settled, previous = sorted(current - previous), current == target, current
@@ -220,30 +207,19 @@ def run_delegation(
 
 
 def beta_quantile_thetas(n: int, shape: BetaShape) -> Sequence[float]:
-    """Deterministic intricacy values: Beta(p, q) quantiles at (i + 0.5) / n.
-
-    Read-only; each quantile is inverted when first read, then kept.
-    """
+    """Intricacy values, Beta(p, q) quantiles at (i + 0.5) / n, inverted when first read."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    tested = 1e-3 <= shape.p <= 1e3 and 1e-3 <= shape.q <= 1e3
-    return _Lazy(n, lambda i: inv_reg_inc_beta((i + 0.5) / n, shape), ordered=tested)
+    kind = _Quantiles if 1e-3 <= shape.p <= 1e3 and 1e-3 <= shape.q <= 1e3 else _Lazy
+    return kind(range(n), lambda i: inv_reg_inc_beta((i + 0.5) / n, shape))
 
 
-def _thetas(thetas: Sequence[float], human: Callable, base: Callable, saturating: bool):
-    """The thetas, still lazy if the module's premise holds, else as floats."""
-    if (isinstance(thetas, _Lazy) and thetas.ordered and isinstance(human, Line)
-            and isinstance(base, Line) and human.slope >= 0 and base.slope <= 0
-            and not (saturating and base(thetas[-1]) < 0)):
-        return thetas
-    return tuple(map(float, thetas))
-
-
-def _per_task(values: Sequence[float], formula: Callable[[float], float]) -> Sequence[float]:
-    """``formula(value)`` for each task: when first read if ``values`` is lazy, else now."""
-    if isinstance(values, _Lazy):
-        return _Lazy(len(values), lambda i: formula(values[i]))
-    return tuple(map(formula, values))
+def _premise(thetas: Sequence[float], human: Callable, base: Callable, saturating: bool):
+    """The universe type, its thetas and its per-task map: lazy if the premise holds."""
+    if (isinstance(thetas, _Quantiles) and isinstance(human, Line) and isinstance(base, Line)
+            and human.slope >= 0 >= base.slope and not (saturating and base(thetas[-1]) < 0)):
+        return _PrefixUniverse, thetas, _Lazy
+    return TaskUniverse, tuple(map(float, thetas)), lambda values, f: tuple(map(f, values))
 
 
 def linear_universe(
@@ -263,15 +239,14 @@ def linear_universe(
     if not gamma > 0:
         raise ParamError(f"gamma must be positive, got {gamma}")
     human_utility, machine_base = Line(alpha_h, beta_h), Line(alpha_m, -beta_m)
-    thetas = _thetas(thetas, human_utility, machine_base, saturating=False)
-    base = _per_task(thetas, machine_base)
+    universe, thetas, per_task = _premise(thetas, human_utility, machine_base, False)
+    base = per_task(thetas, machine_base)
 
     def machine(t: int) -> Sequence[float]:
-        return _per_task(base, lambda value: value + gamma * t)
+        return per_task(base, lambda value: value + gamma * t)
 
-    human = _per_task(thetas, human_utility)
-    inf = (float("inf"),) * len(thetas)
-    return TaskUniverse(thetas, human, inf, machine, prefix=isinstance(thetas, _Lazy))
+    human = per_task(thetas, human_utility)
+    return universe(thetas, human, (float("inf"),) * len(thetas), machine)
 
 
 def saturating_universe(
@@ -281,26 +256,24 @@ def saturating_universe(
 ) -> TaskUniverse:
     """Machine utility limit(theta) * (1 - 2**-t), saturating geometrically.
 
-    ``human_utility`` and ``machine_limit`` are called at most once per
-    task; given as :class:`Line` objects they admit the prefix search.
+    ``human_utility`` and ``machine_limit`` are called at most once per task.
     Requires a non-negative limit on every task; a negative limit would make
     the schedule decrease in t.
     """
-    thetas = _thetas(thetas, human_utility, machine_limit, saturating=True)
-    prefix = isinstance(thetas, _Lazy)  # then the last limit, the least, is >= 0
-    limit = _per_task(thetas, machine_limit)
-    for theta, value in zip(thetas, () if prefix else limit):
-        if value < 0:
+    universe, thetas, per_task = _premise(thetas, human_utility, machine_limit, True)
+    limit = per_task(thetas, machine_limit)
+    for theta, value in zip(thetas, limit if universe is TaskUniverse else ()):
+        if value < 0:  # searched: the last limit, the least, is >= 0
             raise ParamError(
                 f"machine limit is negative at theta={theta}; "
                 "the saturating schedule would decrease in t"
             )
 
     def machine(t: int) -> Sequence[float]:
-        return _per_task(limit, lambda value: value * (1.0 - 2.0**-t))
+        return per_task(limit, lambda value: value * (1.0 - 2.0**-t))
 
-    human = _per_task(thetas, human_utility)
-    return TaskUniverse(thetas, human, limit, machine, prefix)
+    human = per_task(thetas, human_utility)
+    return universe(thetas, human, limit, machine)
 
 
 def table_universe(

@@ -21,6 +21,7 @@ from workmix import (
     saturating_universe,
     table_universe,
 )
+from workmix.lattice import _PrefixUniverse
 
 # Human payoff 1.0 everywhere; machine climbs toward 2 - theta, so every
 # task is automated in the limit but crossing years spread out: t = 1, 2,
@@ -398,7 +399,7 @@ class TestPrefixSearch:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_reference_scan(self, drawn, max_years, window):
         case, searched = drawn
-        assert case[0].prefix == searched
+        assert isinstance(case[0], _PrefixUniverse) == searched
         TestAgainstReferenceScan.check(case, max_years, window)
 
     def test_negative_last_limit_is_scanned(self):
@@ -410,11 +411,25 @@ class TestPrefixSearch:
 
     def test_plain_callables_and_listed_thetas_are_scanned(self):
         thetas = beta_quantile_thetas(20, BetaShape(2.0, 5.0))
-        assert not saturating_universe(thetas, lambda th: 1.0, Line(2.0, -1.0)).prefix
-        assert not linear_universe(list(thetas), 1.0, 1.5, 1.3704, 2.5, 0.04336).prefix
-        assert not linear_universe(
-            beta_quantile_thetas(20, BetaShape(5e-4, 2.0)), 1.0, 1.5, 1.3704, 2.5, 0.04336
-        ).prefix
+        scanned = [
+            saturating_universe(thetas, lambda th: 1.0, Line(2.0, -1.0)),
+            linear_universe(list(thetas), 1.0, 1.5, 1.3704, 2.5, 0.04336),
+            linear_universe(
+                beta_quantile_thetas(20, BetaShape(5e-4, 2.0)), 1.0, 1.5, 1.3704, 2.5, 0.04336
+            ),
+        ]
+        assert not any(isinstance(universe, _PrefixUniverse) for universe in scanned)
+
+    def test_hand_built_universe_is_scanned(self):
+        # Beta-quantile thetas alone do not make a universe searchable: a
+        # hand-built one is scanned, so a shrinking schedule is still caught.
+        thetas = beta_quantile_thetas(3, BetaShape(2.0, 5.0))
+        rows = [(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+        universe = TaskUniverse(thetas, (0.5,) * 3, rows[-1], lambda t: rows[min(t, 1)])
+        with pytest.raises(MonotonicityError, match="lost task ids \\[1\\]"):
+            run_delegation(universe, 5)
+        with pytest.raises(TypeError):
+            TaskUniverse(thetas, (0.5,) * 3, rows[-1], lambda t: rows[0], prefix=True)
 
     def test_searched_trace_frozen(self):
         # Beta(1, 1) quantiles 0.125, ..., 0.875 and limits 2 - theta, all
@@ -423,7 +438,8 @@ class TestPrefixSearch:
         thetas = beta_quantile_thetas(4, BetaShape(1.0, 1.0))
         searched = saturating_universe(thetas, Line(1.0, 0.0), Line(2.0, -1.0))
         scanned = saturating_universe(list(thetas), Line(1.0, 0.0), Line(2.0, -1.0))
-        assert searched.prefix and not scanned.prefix
+        assert isinstance(searched, _PrefixUniverse)
+        assert not isinstance(scanned, _PrefixUniverse)
         trace = run_delegation(searched, 30)
         assert trace == run_delegation(scanned, 30)
         assert trace.counts == (0, 0, 0, 3, 3, 4)
