@@ -230,7 +230,7 @@ def _keys(kind: Any, *required: str, **optional: Any) -> tuple[_Key, ...]:
 
 # Size caps, which bound the time and memory of a run.  A lattice keeps one
 # count per year and each task id once; the caps bound the scan, which
-# compares every task every year: 10,000 tasks over 1000 years.
+# compares every task every year: 10,000 tasks (of any family) over 1000 years.
 _MAX_YEARS = 1000
 _MAX_TASKS = 10_000
 _MAX_SWEEP_CELLS = 10_000
@@ -259,7 +259,8 @@ _LATTICE_FAMILIES = {
         *_LATTICE_CONTROLS,
     ),
     "table": (
-        *_keys(_as_number_list, "thetas", "human_values"),
+        _Key("thetas", _as_number_list, maximum=_MAX_TASKS),
+        _Key("human_values", _as_number_list, maximum=_MAX_TASKS),
         _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
         *_LATTICE_CONTROLS,
     ),

@@ -63,7 +63,7 @@ class _Lazy(Sequence):
 
 
 class _Quantiles(_Lazy):
-    """Beta quantiles with p and q in [1e-3, 1e3], one theta of the module's premise."""
+    """Beta quantiles of a tested shape, one theta of the module's premise."""
 
 
 class Line(NamedTuple):
@@ -210,7 +210,7 @@ def beta_quantile_thetas(n: int, shape: BetaShape) -> Sequence[float]:
     """Intricacy values, Beta(p, q) quantiles at (i + 0.5) / n, inverted when first read."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    kind = _Quantiles if 1e-3 <= shape.p <= 1e3 and 1e-3 <= shape.q <= 1e3 else _Lazy
+    kind = _Quantiles if shape.tested else _Lazy
     return kind(range(n), lambda i: inv_reg_inc_beta((i + 0.5) / n, shape))
 
 

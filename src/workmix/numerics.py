@@ -88,19 +88,26 @@ _NOISE_ULPS = 16.0
 _EXPONENT_ULPS = 4.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# Shapes over which the CDF is tested against mpmath to within 1e-12.
+_TESTED_LOW, _TESTED_HIGH = 1e-3, 1e3
+
 
 @dataclass(frozen=True)
 class BetaShape:
     """Shape parameters (p, q) of a Beta distribution, both finite and > 0.
 
     ``log_beta`` is ln B(p, q), computed once when the shape is made so that
-    every CDF evaluation on the shape reuses it.  It is derived, so it takes
-    no constructor argument and plays no part in equality, hashing or repr.
+    every CDF evaluation on the shape reuses it.  ``tested`` says whether p
+    and q both lie in [1e-3, 1e3], where the CDF is tested to within 1e-12;
+    the fast paths that rely on that accuracy read it.  Both are derived, so
+    they take no constructor argument and play no part in equality, hashing
+    or repr.
     """
 
     p: float
     q: float
     log_beta: float = field(init=False, compare=False, repr=False)
+    tested: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.p > 0 and self.q > 0):
@@ -112,6 +119,8 @@ class BetaShape:
                 f"beta shape parameters must be finite, got p={self.p}, q={self.q}"
             )
         object.__setattr__(self, "log_beta", log_beta(self.p, self.q))
+        tested = _TESTED_LOW <= self.p <= _TESTED_HIGH and _TESTED_LOW <= self.q <= _TESTED_HIGH
+        object.__setattr__(self, "tested", tested)
 
 
 def log_gamma(x: float) -> float:

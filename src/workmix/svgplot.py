@@ -28,18 +28,16 @@ _BOTTOM = _HEIGHT - 48.0
 _TICK_LEN = 5.0
 _TICK_TARGET = 5  # tick intervals each axis aims for
 _FONT = "font-family=\"sans-serif\" font-size=\"12\""
+_MIDDLE = 'text-anchor="middle" '
 
 _SERIES_COLORS = ("#1f6fb4", "#d1495b", "#3a7d44", "#8a5fb0")
+
+# The data ranges a chart spans, (x_lo, x_hi, y_lo, y_hi).
+_Frame = tuple[float, float, float, float]
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
 
 
 def _fmt_tick(value: float) -> str:
@@ -71,62 +69,45 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-class _Frame:
-    """Maps data coordinates into the plot rectangle of the canvas."""
+def _scale(value: float, lo: float, hi: float, start: float, end: float) -> float:
+    """Map ``value`` from the data range [lo, hi] onto pixels [start, end].
 
-    def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float]) -> None:
-        self.x_lo, self.x_hi = x_range
-        self.y_lo, self.y_hi = y_range
+    A zero-width range maps to the middle.  y maps onto [_BOTTOM, _TOP], so
+    larger values are drawn higher.
+    """
+    span = hi - lo
+    frac = 0.5 if span == 0 else (value - lo) / span
+    return start + frac * (end - start)
 
-    def x_px(self, x: float) -> float:
-        span = self.x_hi - self.x_lo
-        frac = 0.5 if span == 0 else (x - self.x_lo) / span
-        return _LEFT + frac * (_RIGHT - _LEFT)
 
-    def y_px(self, y: float) -> float:
-        span = self.y_hi - self.y_lo
-        frac = 0.5 if span == 0 else (y - self.y_lo) / span
-        return _BOTTOM - frac * (_BOTTOM - _TOP)
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = 'stroke="#333333"') -> str:
+    """One <line>; ``stroke`` holds its stroke attributes."""
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {stroke}/>'
 
-    def axes(self, x_label: str, y_label: str) -> list[str]:
-        parts = [
-            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(_BOTTOM)}" '
-            f'x2="{_fmt(_RIGHT)}" y2="{_fmt(_BOTTOM)}" stroke="#333333"/>',
-            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(_TOP)}" '
-            f'x2="{_fmt(_LEFT)}" y2="{_fmt(_BOTTOM)}" stroke="#333333"/>',
-        ]
-        for tick in _nice_ticks(self.x_lo, self.x_hi):
-            px = self.x_px(tick)
-            parts.append(
-                f'<line x1="{_fmt(px)}" y1="{_fmt(_BOTTOM)}" '
-                f'x2="{_fmt(px)}" y2="{_fmt(_BOTTOM + _TICK_LEN)}" stroke="#333333"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(_BOTTOM + 18.0)}" '
-                f'text-anchor="middle" {_FONT}>{_fmt_tick(tick)}</text>'
-            )
-        for tick in _nice_ticks(self.y_lo, self.y_hi):
-            py = self.y_px(tick)
-            parts.append(
-                f'<line x1="{_fmt(_LEFT - _TICK_LEN)}" y1="{_fmt(py)}" '
-                f'x2="{_fmt(_LEFT)}" y2="{_fmt(py)}" stroke="#333333"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(_LEFT - 8.0)}" y="{_fmt(py + 4.0)}" '
-                f'text-anchor="end" {_FONT}>{_fmt_tick(tick)}</text>'
-            )
-        mid_x = 0.5 * (_LEFT + _RIGHT)
-        parts.append(
-            f'<text x="{_fmt(mid_x)}" y="{_fmt(_HEIGHT - 10.0)}" '
-            f'text-anchor="middle" {_FONT}>{_escape(x_label)}</text>'
-        )
-        mid_y = 0.5 * (_TOP + _BOTTOM)
-        parts.append(
-            f'<text x="16.00" y="{_fmt(mid_y)}" text-anchor="middle" '
-            f'transform="rotate(-90 16.00 {_fmt(mid_y)})" {_FONT}>'
-            f"{_escape(y_label)}</text>"
-        )
-        return parts
+
+def _text(x: float, y: float, label: str, attrs: str = "") -> str:
+    """One <text> with markup characters in ``label`` escaped; ``attrs`` end in a space."""
+    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" {attrs}{_FONT}>{label}</text>'
+
+
+def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
+    """Both axis lines, a tick and its label per nice tick, and both axis titles."""
+    x_lo, x_hi, y_lo, y_hi = frame
+    parts = [_line(_LEFT, _BOTTOM, _RIGHT, _BOTTOM), _line(_LEFT, _TOP, _LEFT, _BOTTOM)]
+    for tick in _nice_ticks(x_lo, x_hi):
+        px = _scale(tick, x_lo, x_hi, _LEFT, _RIGHT)
+        parts.append(_line(px, _BOTTOM, px, _BOTTOM + _TICK_LEN))
+        parts.append(_text(px, _BOTTOM + 18.0, _fmt_tick(tick), _MIDDLE))
+    for tick in _nice_ticks(y_lo, y_hi):
+        py = _scale(tick, y_lo, y_hi, _BOTTOM, _TOP)
+        parts.append(_line(_LEFT - _TICK_LEN, py, _LEFT, py))
+        parts.append(_text(_LEFT - 8.0, py + 4.0, _fmt_tick(tick), 'text-anchor="end" '))
+    mid_y = 0.5 * (_TOP + _BOTTOM)
+    parts.append(_text(0.5 * (_LEFT + _RIGHT), _HEIGHT - 10.0, x_label, _MIDDLE))
+    rotate = f'transform="rotate(-90 16.00 {_fmt(mid_y)})" '
+    parts.append(_text(16.0, mid_y, y_label, _MIDDLE + rotate))
+    return parts
 
 
 def _document(body: list[str]) -> str:
@@ -139,13 +120,13 @@ def _document(body: list[str]) -> str:
 
 
 def _polyline(points: list[tuple[float, float]], frame: _Frame, color: str) -> str:
+    x_lo, x_hi, y_lo, y_hi = frame
     coords = " ".join(
-        f"{_fmt(frame.x_px(x))},{_fmt(frame.y_px(y))}" for x, y in points
+        f"{_fmt(_scale(x, x_lo, x_hi, _LEFT, _RIGHT))},"
+        f"{_fmt(_scale(y, y_lo, y_hi, _BOTTOM, _TOP))}"
+        for x, y in points
     )
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-        f'points="{coords}"/>'
-    )
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
 
 
 def _padded_range(values: list[float]) -> tuple[float, float]:
@@ -162,23 +143,16 @@ def _lines(
     """One polyline per series over shared axes; a legend entry per labelled one."""
     xs = [x for _, points in series for x, _ in points]
     ys = [y for _, points in series for _, y in points]
-    frame = _Frame((min(xs), max(xs)), _padded_range(ys))
-    body = frame.axes(x_label, y_label)
+    frame = (min(xs), max(xs), *_padded_range(ys))
+    body = _axes(frame, x_label, y_label)
     for index, (label, points) in enumerate(series):
         color = _SERIES_COLORS[index % len(_SERIES_COLORS)]
         body.append(_polyline(points, frame, color))
-        if not label:
-            continue
-        legend_y = _TOP + 16.0 * index + 6.0
-        body.append(
-            f'<line x1="{_fmt(_LEFT + 8.0)}" y1="{_fmt(legend_y)}" '
-            f'x2="{_fmt(_LEFT + 28.0)}" y2="{_fmt(legend_y)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        body.append(
-            f'<text x="{_fmt(_LEFT + 34.0)}" y="{_fmt(legend_y + 4.0)}" '
-            f'{_FONT}>{_escape(label)}</text>'
-        )
+        if label:
+            legend_y = _TOP + 16.0 * index + 6.0
+            stroke = f'stroke="{color}" stroke-width="1.5"'
+            body.append(_line(_LEFT + 8.0, legend_y, _LEFT + 28.0, legend_y, stroke))
+            body.append(_text(_LEFT + 34.0, legend_y + 4.0, label))
     return _document(body)
 
 
@@ -243,21 +217,19 @@ def heatmap(
         raise DomainError("cells must be len(x_values) rows of len(y_values)")
     x_edges = _cell_edges(list(x_values))
     y_edges = _cell_edges(list(y_values))
-    frame = _Frame((x_edges[0], x_edges[-1]), (y_edges[0], y_edges[-1]))
+    frame = (x_edges[0], x_edges[-1], y_edges[0], y_edges[-1])
+    x_px = [_scale(edge, x_edges[0], x_edges[-1], _LEFT, _RIGHT) for edge in x_edges]
+    y_px = [_scale(edge, y_edges[0], y_edges[-1], _BOTTOM, _TOP) for edge in y_edges]
     scale = max((abs(v) for row in cells for v in row), default=0.0)
     body = []
-    for i in range(len(x_values)):
-        for j in range(len(y_values)):
-            left = frame.x_px(x_edges[i])
-            right = frame.x_px(x_edges[i + 1])
-            top = frame.y_px(y_edges[j + 1])
-            bottom = frame.y_px(y_edges[j])
+    for row, left, right in zip(cells, x_px, x_px[1:]):
+        for value, bottom, top in zip(row, y_px, y_px[1:]):
             body.append(
                 f'<rect x="{_fmt(left)}" y="{_fmt(top)}" '
                 f'width="{_fmt(right - left)}" height="{_fmt(bottom - top)}" '
-                f'fill="{_diverging_color(cells[i][j], scale)}"/>'
+                f'fill="{_diverging_color(value, scale)}"/>'
             )
-    body.extend(frame.axes(x_label, y_label))
+    body.extend(_axes(frame, x_label, y_label))
     if overlay:
         body.append(_polyline(overlay, frame, "#000000"))
     return _document(body)

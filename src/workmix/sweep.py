@@ -41,9 +41,8 @@ __all__ = [
 ]
 
 # Half-width of the band around one half that the median bracket keeps clear
-# of, and the shapes whose forward CDF is tested to within 1e-12 < delta / 2.
+# of; a tested shape's forward CDF is within 1e-12 < delta / 2.
 _DELTA = 1e-9
-_TESTED_SHAPES = (1e-3, 1e3)
 _NO_BRACKET = (-math.inf, math.inf)
 
 
@@ -103,8 +102,7 @@ def _median_bracket(shape: BetaShape) -> tuple[float, float]:
     ``_NO_BRACKET`` when the shape lies outside the tested range or the
     computed CDF does not clear the band of half-width ``_DELTA`` at an end.
     """
-    low, high = _TESTED_SHAPES
-    if low <= shape.p <= high and low <= shape.q <= high:
+    if shape.tested:
         lo = inv_reg_inc_beta(0.5 - 4.0 * _DELTA, shape)
         hi = inv_reg_inc_beta(0.5 + 4.0 * _DELTA, shape)
         if (

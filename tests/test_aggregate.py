@@ -154,6 +154,10 @@ class TestConvergenceTime:
         with pytest.raises(DomainError):
             convergence_time(DEFAULT_AGGREGATE, 0.0)
 
+    def test_gap_closes_in_one_step(self):
+        # alpha + beta = 1 lands on the equilibrium after a single step.
+        assert convergence_time(AggregateParams(0.5, 0.5, 0.1), 1e-6) == 1
+
 
 valid_params = st.builds(
     AggregateParams,

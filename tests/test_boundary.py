@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from workmix import (
     DEFAULT_BOUNDARY,
     BetaShape,
+    CalibrationError,
     ContinuousParams,
     DomainError,
     ParamError,
@@ -195,6 +196,10 @@ class TestAdvantageGrid:
         with pytest.raises(DomainError):
             advantage_grid(DEFAULT_BOUNDARY, [2025, 2030], [0.5, 0.5])
 
+    def test_rejects_empty_thetas(self):
+        with pytest.raises(DomainError, match="thetas must be non-empty"):
+            advantage_grid(DEFAULT_BOUNDARY, [2025], [])
+
 
 class TestCalibrate:
     def test_frozen_solution(self):
@@ -224,6 +229,16 @@ class TestCalibrate:
             calibrate(0.6, 0.1, 20, 1.0, 1.5, 2.5, shape)
         with pytest.raises(ParamError):
             calibrate(0.1, 0.6, 0, 1.0, 1.5, 2.5, shape)
+
+    @pytest.mark.parametrize("share_at_end", [0.0, 1.0])
+    def test_rejects_share_at_end_outside_unit_interval(self, share_at_end):
+        with pytest.raises(ParamError, match="share_at_end must lie in"):
+            calibrate(0.1, share_at_end, 20, 1.0, 1.5, 2.5, BetaShape(2, 5))
+
+    def test_targets_one_ulp_apart_give_no_improvement(self):
+        # Both targets invert to the same theta, so gamma comes out 0.0.
+        with pytest.raises(CalibrationError, match="gamma=0.0"):
+            calibrate(0.3, 0.30000000000000004, 20, 1.0, 1.5, 2.5, BetaShape(2, 5))
 
 
 valid_params = st.builds(

@@ -187,6 +187,13 @@ class TestEmitCsv:
         result = run_config(builtin_scenario("paper-aggregate"))
         assert "2026,0.185000\n" in emit_csv(result)
 
+    def test_rejects_negative_precision_and_unknown_model(self):
+        result = run_config(builtin_scenario("paper-aggregate"))
+        with pytest.raises(ValidationError, match="precision must be >= 0, got -1"):
+            emit_csv(result, -1)
+        with pytest.raises(ValidationError, match="unknown model 'quantum'"):
+            emit_csv(RunResult("quantum", result.data))
+
 
 class TestEmitSvg:
     def test_line_chart_single_polyline(self):
@@ -276,6 +283,43 @@ class TestSvgBytes:
             config = load_config(json.dumps({"model": "lattice", "params": scenario}))
         document = emit_svg(run_config(config), chart)
         assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+_ONE_YEAR_BOUNDARY = {
+    "model": "boundary",
+    "params": {"alpha_h": 1.0, "beta_h": 1.5, "alpha_m": 1.3704, "beta_m": 2.5,
+               "gamma": 0.04336, "p": 2.0, "q": 5.0, "horizon_years": 0},
+}
+
+_EDGE_SVG_DIGESTS = [
+    # One point: a single x tick, a zero-span x map and a padded flat y range.
+    pytest.param(_ONE_YEAR_BOUNDARY, "line",
+                 "c8b7e7318cdb458eab9480423652f995d1e86e14a2685e9fa10fbdeea74378a2",
+                 id="boundary-one-year-line"),
+    # One year column: the cell edges of a single value.
+    pytest.param(_ONE_YEAR_BOUNDARY, "heatmap",
+                 "e6db50f717795d6132c95c50d11cba7caa1d90c68545cf1776dbbf6b4931d89e",
+                 id="boundary-one-year-heatmap"),
+    # The share starts at its equilibrium and stays there.
+    pytest.param({"model": "aggregate", "params": {"alpha": 0.5, "beta": 0.5, "x0": 0.5}},
+                 "line",
+                 "ce960e05eed00911c7c4b4cd4fa075bc949fac5b009178c8d729d3b168985108",
+                 id="aggregate-flat-line"),
+    pytest.param({"model": "sweep",
+                  "params": {"p_values": [2.0], "q_values": [5], "gamma_values": [0.05]}},
+                 "heatmap",
+                 "08914347210b34a11ce1ebc5e1d838232735296e03f43e843f3409486b93b82a",
+                 id="sweep-one-cell-heatmap"),
+]
+
+
+class TestSvgEdgeBytes:
+    """Degenerate axes render to the same bytes, pinned by SHA-256."""
+
+    @pytest.mark.parametrize("document,chart,digest", _EDGE_SVG_DIGESTS)
+    def test_digest(self, document, chart, digest):
+        svg = emit_svg(run_config(load_config(json.dumps(document))), chart)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 class TestVerify:
@@ -734,6 +778,10 @@ _CONFIG_ERRORS = [
           "error: n_tasks must be <= 10000, got 1000000"),
     _case("lattice-rows-cap", "lattice", dict(_TABLE, machine_rows=[[0.5, 0.2]] * 1001),
           "error: machine_rows must have at most 1000 entries, got 1001"),
+    _case("lattice-thetas-cap", "lattice", dict(_TABLE, thetas=[0.5] * 10001),
+          "error: thetas must have at most 10000 entries, got 10001"),
+    _case("lattice-human-values-cap", "lattice", dict(_TABLE, human_values=[1.0] * 10001),
+          "error: human_values must have at most 10000 entries, got 10001"),
     _case("lattice-stability-window", "lattice",
           {"family": "saturating", "limit_intercept": 1, "limit_slope": 0,
            "stability_window": -2},
@@ -783,6 +831,8 @@ class TestSizeCaps:
                        q_values=list(range(1, 101)))),
         ("lattice", {"family": "linear", "n_tasks": 10000, "max_years": 1000}),
         ("lattice", dict(_TABLE, machine_rows=[[0.5, 0.2]] * 1000)),
+        ("lattice", dict(_TABLE, thetas=[i / 10000 for i in range(10000)],
+                         human_values=[1.0] * 10000, machine_rows=[[0.5] * 10000])),
     ])
     def test_cap_is_inclusive(self, model, params):
         config = load_config(json.dumps({"model": model, "params": params}))

@@ -194,6 +194,13 @@ class TestHelpers:
     def test_fraction_and_fractions(self):
         assert Allocation(frozenset({0, 3})).fraction(8) == pytest.approx(0.25)
 
+    def test_fraction_of_empty_universe(self):
+        assert Allocation().fraction(0) == 0.0
+
+    def test_beta_quantiles_need_a_task(self):
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            beta_quantile_thetas(0, BetaShape(2, 5))
+
     def test_table_validation(self):
         with pytest.raises(ParamError):
             table_universe([0.5, 0.5], [1.0, 1.0], [[1.0, 1.0]])

@@ -22,6 +22,7 @@ import workmix.numerics
 from workmix import (
     BetaShape,
     BracketError,
+    ComputationError,
     DomainError,
     WorkmixError,
     beta_quantile_thetas,
@@ -169,6 +170,19 @@ class TestRegIncBeta:
         for p, q in [(-math.inf, 2.0), (math.nan, 2.0), (2.0, math.nan)]:
             with pytest.raises(DomainError, match="must be positive"):
                 BetaShape(p, q)
+
+    def test_tested_shape_range(self):
+        # Both ends are inclusive.
+        for p, q in [(1e-3, 1e3), (1e3, 1e-3), (2.0, 5.0)]:
+            assert BetaShape(p, q).tested
+        for p, q in [(math.nextafter(1e-3, 0.0), 2.0), (2.0, math.nextafter(1e3, math.inf))]:
+            assert not BetaShape(p, q).tested
+
+    def test_huge_shape_fails_to_converge(self):
+        # Far outside the tested shape range the continued fraction runs out
+        # of iterations; this pins today's failure, not a wanted answer.
+        with pytest.raises(ComputationError, match="did not converge"):
+            reg_inc_beta(0.5, BetaShape(1e6, 1e6))
 
 
 class TestInverse:
@@ -348,6 +362,14 @@ class TestQuadratureOracle:
             oracle_beta_cdf(0.5, BetaShape(2.0, 0.9), 2000)
         with pytest.raises(DomainError):
             oracle_beta_cdf(0.5, SHAPE_2_5, 999)
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5])
+    def test_rejects_x_outside_unit_interval(self, x):
+        with pytest.raises(DomainError, match="requires x in"):
+            oracle_beta_cdf(x, SHAPE_2_5, 1000)
+
+    def test_zero_at_origin(self):
+        assert oracle_beta_cdf(0.0, SHAPE_2_5, 1000) == 0.0
 
 
 class TestBisect:

@@ -85,6 +85,11 @@ class TestGridSpec:
         with pytest.raises(ParamError):
             GridSpec((1.5,), (5,), (0.03,), 20, 1.0)
 
+    @pytest.mark.parametrize("axes", [((-1.0, 2.0), (5,), (0.03,)), ((1.5,), (5,), (0.0,))])
+    def test_rejects_non_positive_axis_value(self, axes):
+        with pytest.raises(ParamError, match="must be positive"):
+            GridSpec(*axes, 20, 0.10)
+
 
 class TestRunGrid:
     def test_row_major_order(self):
