@@ -45,7 +45,14 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .numerics import BetaShape, bisect_root, inv_reg_inc_beta, oracle_beta_cdf, reg_inc_beta
+from .numerics import (
+    TESTED_SHAPE_RANGE,
+    BetaShape,
+    bisect_root,
+    inv_reg_inc_beta,
+    oracle_beta_cdf,
+    reg_inc_beta,
+)
 
 __all__ = [
     "OutputSpec",
@@ -155,10 +162,30 @@ def _in_double_range(value: Any, label: str) -> Any:
     return value
 
 
-def _as_number_list(value: Any, label: str) -> list:
+def _as_shape(value: Any, label: str) -> float:
+    """A Beta shape parameter: a positive one must lie in the tested range.
+
+    A value <= 0 is left to ``BetaShape`` and ``GridSpec``, whose messages
+    already name it.
+    """
+    value = _as_number(value, label)
+    low, high = TESTED_SHAPE_RANGE
+    if value > 0 and not low <= value <= high:
+        raise ValidationError(
+            f"{label} must lie in [{low:g}, {high:g}], the range of Beta shapes "
+            f"the CDF is tested on, got {value}"
+        )
+    return value
+
+
+def _as_number_list(value: Any, label: str, item: Callable = _as_number) -> list:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{label} must be a non-empty list of numbers")
-    return [_as_number(v, f"{label}[{i}]") for i, v in enumerate(value)]
+    return [item(v, f"{label}[{i}]") for i, v in enumerate(value)]
+
+
+def _as_shape_list(value: Any, label: str) -> list:
+    return _as_number_list(value, label, _as_shape)
 
 
 def _as_rows(value: Any, label: str) -> list:
@@ -241,7 +268,8 @@ _CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "huma
 
 _LATTICE_SHAPE = (
     _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
-    *_keys(_as_number, p=2.0, q=5.0, alpha_h=1.0, beta_h=1.5),
+    *_keys(_as_shape, p=2.0, q=5.0),
+    *_keys(_as_number, alpha_h=1.0, beta_h=1.5),
 )
 _LATTICE_CONTROLS = (
     _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
@@ -287,7 +315,8 @@ def _lattice_params(params: Any) -> dict:
 
 
 _SWEEP_KEYS = (
-    *_keys(_as_number_list, "p_values", "q_values", "gamma_values"),
+    *_keys(_as_shape_list, "p_values", "q_values"),
+    _Key("gamma_values", _as_number_list),
     _Key("horizon_years", _as_int, 20, maximum=_MAX_YEARS),
     *_keys(_as_number, initial_share_target=0.10, alpha_h=1.0, beta_h=1.5, beta_m=2.5),
     _START_YEAR,
@@ -505,8 +534,8 @@ _SPECS = {
             name="boundary",
             keys=(
                 *_keys(_as_number, "alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"),
-                _Key("p", _as_number, attr="shape.p"),
-                _Key("q", _as_number, attr="shape.q"),
+                _Key("p", _as_shape, attr="shape.p"),
+                _Key("q", _as_shape, attr="shape.q"),
                 _START_YEAR,
                 _Key("horizon_years", _as_int, 20, minimum=0, maximum=_MAX_YEARS),
             ),

@@ -21,7 +21,9 @@ locates a window around the crossing; the bisection then evaluates only
 the midpoints inside that window.  The answers agree whenever the CDF's
 rounding noise fits the window, which holds for every quantile of the
 model's shapes the tests compare; elsewhere the residual is checked to be
-no worse than bisection's.
+no worse than bisection's.  ``locate_quantile`` returns that Halley
+location alone, with the density there: an estimate, for callers that
+check the CDF themselves.
 
 ``oracle_beta_cdf`` is an intentionally independent cross-check: it knows
 nothing about continued fractions and simply integrates the density with
@@ -44,10 +46,12 @@ from .errors import BracketError, ComputationError, DomainError
 
 __all__ = [
     "BetaShape",
+    "TESTED_SHAPE_RANGE",
     "log_gamma",
     "log_beta",
     "reg_inc_beta",
     "inv_reg_inc_beta",
+    "locate_quantile",
     "oracle_beta_cdf",
     "bisect_root",
 ]
@@ -88,8 +92,9 @@ _NOISE_ULPS = 16.0
 _EXPONENT_ULPS = 4.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# Shapes over which the CDF is tested against mpmath to within 1e-12.
-_TESTED_LOW, _TESTED_HIGH = 1e-3, 1e3
+#: The range of p and q over which the CDF is tested against mpmath to
+#: within 1e-12; ``BetaShape.tested`` reads it.
+TESTED_SHAPE_RANGE = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,8 @@ class BetaShape:
                 f"beta shape parameters must be finite, got p={self.p}, q={self.q}"
             )
         object.__setattr__(self, "log_beta", log_beta(self.p, self.q))
-        tested = _TESTED_LOW <= self.p <= _TESTED_HIGH and _TESTED_LOW <= self.q <= _TESTED_HIGH
+        low, high = TESTED_SHAPE_RANGE
+        tested = low <= self.p <= high and low <= self.q <= high
         object.__setattr__(self, "tested", tested)
 
 
@@ -262,11 +268,11 @@ def _initial_guess(target: float, p: float, q: float) -> float:
     return 1.0 - min(1.0, q * total * (1.0 - target)) ** (1.0 / q)
 
 
-def _locate(target: float, shape: BetaShape, cache: dict) -> tuple[float, float]:
+def _locate(target: float, shape: BetaShape, cache: dict) -> tuple[float, float, float]:
     """Safeguarded Halley search for the x where I_x(p, q) crosses ``target``.
 
-    Returns (center, half_width): where rounding noise in the computed CDF
-    stays below ``_NOISE_ULPS`` ulps of the target, or below
+    Returns (center, half_width, density): where rounding noise in the
+    computed CDF stays below ``_NOISE_ULPS`` ulps of the target, or below
     ``_EXPONENT_ULPS`` ulps of |ln B| times the nearer tail where that is
     larger, every crossing lies in center +- half_width.  The second bound
     is the rounding of the exponent p ln x + q ln(1 - x) - ln B, whose terms
@@ -276,7 +282,9 @@ def _locate(target: float, shape: BetaShape, cache: dict) -> tuple[float, float]
     (p - 1)/x - (q - 1)/(1 - x).  Every CDF value lands in ``cache`` and
     tightens a bracket [lo, hi]; a step that leaves the bracket, or a
     density that is 0 or overflows, is replaced by the bracket's midpoint.
-    The half width is infinite when the search gives up after
+    ``density`` is the Beta density at the last point evaluated, finite,
+    and 0.0 where it underflows or overflows there.  The half width is
+    infinite, and the density 0.0, when the search gives up after
     ``_HALLEY_STEPS`` evaluations.
     """
     p, q = shape.p, shape.q
@@ -286,12 +294,13 @@ def _locate(target: float, shape: BetaShape, cache: dict) -> tuple[float, float]
     )
     lo, hi = 0.0, 1.0
     half = math.inf
+    density = 0.0
     x = _initial_guess(target, p, q)
     for _ in range(_HALLEY_STEPS):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if x == lo or x == hi:
-                return x, half
+                return x, half, density
         value = cache[x] = reg_inc_beta(x, shape)
         if value < target:
             lo = x
@@ -304,14 +313,32 @@ def _locate(target: float, shape: BetaShape, cache: dict) -> tuple[float, float]
             continue
         half = noise / density + 2.0 * math.ulp(x)
         if value == target:
-            return x, half
+            return x, half, density
         u = (value - target) / density
         curvature = u * ((p - 1.0) / x - (q - 1.0) / (1.0 - x))
         step = u / (1.0 - 0.5 * min(1.0, curvature))
         if abs(step) <= 0.5 * half:
-            return x - step, half
+            return x - step, half, density
         x -= step
-    return 0.5, math.inf
+    return 0.5, math.inf, 0.0
+
+
+def locate_quantile(target: float, shape: BetaShape) -> tuple[float, float]:
+    """Estimate of the x where I_x(p, q) crosses ``target``, and the density.
+
+    Returns (x, density) from the safeguarded Halley search that
+    ``inv_reg_inc_beta`` starts from, without the bisection that follows:
+    x is an estimate, not bisection's double, and callers that need a
+    guarantee must check the CDF themselves.  The density is the Beta
+    density at the last point the search evaluated, which lies within the
+    CDF's rounding-noise window of x.  It is finite, and 0.0 when it
+    underflows or overflows there or when the search gives up, as it can at
+    extreme shapes; x then says nothing.  Requires 0 < target < 1.
+    """
+    if not 0.0 < target < 1.0:
+        raise DomainError(f"locate_quantile requires target in (0, 1), got {target}")
+    center, _, density = _locate(target, shape, {})
+    return center, density
 
 
 def _bisect(target: float, shape: BetaShape, a: float, b: float, cache: dict) -> float | None:
@@ -368,7 +395,7 @@ def inv_reg_inc_beta(target: float, shape: BetaShape) -> float:
     if target == 1.0:
         return 1.0
     cache: dict[float, float] = {}
-    center, half = _locate(target, shape, cache)
+    center, half, _ = _locate(target, shape, cache)
     x = _bisect(target, shape, center - half, center + half, cache)
     if x is None:
         x = _bisect(target, shape, -math.inf, math.inf, cache)

@@ -8,19 +8,23 @@ year the share reaches one half.
 
 The half-share year is the one a scan of every year from t = 0 finds, but
 ``run_grid`` evaluates the Beta CDF only near the shape's median.  Once per
-shape it inverts the CDF at 1/2 -+ 4 delta (delta = 1e-9) to a bracket
-[lo, hi] and keeps it only if the computed CDF is <= 1/2 - delta at lo and
->= 1/2 + delta at hi.  The premise is that the computed CDF is within
-E = 1e-12 of the exact one, which the tests check against mpmath for p and q
-in [1e-3, 1e3]; outside that range no bracket is made.  Since delta > 2E and
-the exact CDF is non-decreasing, every boundary below lo has a computed
-share below 1/2 and every boundary at or above hi one above 1/2.  So the
-years whose boundary is below lo are skipped without a CDF evaluation (the
-first year at or above lo is estimated in closed form, then corrected by
-stepping the boundary, which never decreases in t), a year whose boundary is
-at or above hi is the answer without one, and only the years in between pay
-a CDF evaluation.  Without a bracket, lo = -inf and hi = +inf, which is the
-scan itself; ``cross50`` runs it unless given a bracket.
+shape it locates the median with the safeguarded Halley search of
+``numerics.locate_quantile``, sets the bracket [lo, hi] to 4 delta / density
+either side of it (delta = 1e-9), and keeps the bracket only if it lies in
+[0, 1] and the computed CDF is <= 1/2 - delta at lo and >= 1/2 + delta at
+hi.  The location is an estimate; those two checks alone make the bracket
+valid.  The premise is that the computed CDF is within E = 1e-12 of the
+exact one, which the tests check against mpmath for p and q in [1e-3, 1e3];
+outside that range no bracket is made.  Since delta > 2E and the exact CDF
+is non-decreasing, every boundary below lo has a computed share below 1/2
+and every boundary at or above hi one above 1/2.  So the years whose
+boundary is below lo are skipped without a CDF evaluation (the first year
+at or above lo is estimated in closed form, then corrected by stepping the
+boundary, which never decreases in t), a year whose boundary is at or above
+hi is the answer without one, and only the years in between pay a CDF
+evaluation.  Where the bracket sits decides only how many years pay one.
+Without a bracket, lo = -inf and hi = +inf, which is the scan itself;
+``cross50`` runs it unless given a bracket.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 from .boundary import ContinuousParams, automated_share, automation_boundary
 from .errors import ParamError
-from .numerics import BetaShape, inv_reg_inc_beta, reg_inc_beta
+from .numerics import BetaShape, inv_reg_inc_beta, locate_quantile, reg_inc_beta
 
 __all__ = [
     "GridSpec",
@@ -99,17 +103,23 @@ class GridCell:
 def _median_bracket(shape: BetaShape) -> tuple[float, float]:
     """(lo, hi) such that the computed share is < 1/2 below lo and > 1/2 from hi.
 
-    ``_NO_BRACKET`` when the shape lies outside the tested range or the
-    computed CDF does not clear the band of half-width ``_DELTA`` at an end.
+    The ends sit 4 delta / density either side of the located median.
+    ``_NO_BRACKET`` when the shape lies outside the tested range, the search
+    finds no density, an end leaves [0, 1], or the computed CDF does not
+    clear the band of half-width ``_DELTA`` at an end.
     """
     if shape.tested:
-        lo = inv_reg_inc_beta(0.5 - 4.0 * _DELTA, shape)
-        hi = inv_reg_inc_beta(0.5 + 4.0 * _DELTA, shape)
-        if (
-            reg_inc_beta(lo, shape) <= 0.5 - _DELTA
-            and reg_inc_beta(hi, shape) >= 0.5 + _DELTA
-        ):
-            return lo, hi
+        median, density = locate_quantile(0.5, shape)
+        if density > 0.0:
+            width = 4.0 * _DELTA / density
+            lo, hi = median - width, median + width
+            if (
+                0.0 <= lo
+                and hi <= 1.0
+                and reg_inc_beta(lo, shape) <= 0.5 - _DELTA
+                and reg_inc_beta(hi, shape) >= 0.5 + _DELTA
+            ):
+                return lo, hi
     return _NO_BRACKET
 
 

@@ -714,6 +714,12 @@ _CONFIG_ERRORS = [
           "error: gamma must be positive, got 0"),
     _case("boundary-shape-error", "boundary", dict(_BND, q=-1),
           "error: beta shape parameters must be positive, got p=2.0, q=-1"),
+    _case("boundary-shape-above-range", "boundary", dict(_BND, p=1e300),
+          "error: p must lie in [0.001, 1000], the range of Beta shapes the CDF is "
+          "tested on, got 1e+300"),
+    _case("boundary-shape-below-range", "boundary", dict(_BND, q=5e-4),
+          "error: q must lie in [0.001, 1000], the range of Beta shapes the CDF is "
+          "tested on, got 0.0005"),
     # sweep
     _case("sweep-unknown-key", "sweep", dict(_SWP, r_values=[1]),
           "error: unknown key 'r_values' in sweep params"),
@@ -725,6 +731,12 @@ _CONFIG_ERRORS = [
           "error: q_values must be a non-empty list of numbers"),
     _case("sweep-list-element", "sweep", dict(_SWP, q_values=[5, "x"]),
           "error: q_values[1] must be a number, got 'x'"),
+    _case("sweep-p-above-range", "sweep", dict(_SWP, p_values=[1e300]),
+          "error: p_values[0] must lie in [0.001, 1000], the range of Beta shapes the "
+          "CDF is tested on, got 1e+300"),
+    _case("sweep-q-below-range", "sweep", dict(_SWP, q_values=[5, 1e-4]),
+          "error: q_values[1] must lie in [0.001, 1000], the range of Beta shapes the "
+          "CDF is tested on, got 0.0001"),
     _case("sweep-non-integer", "sweep", dict(_SWP, horizon_years=20.0),
           "error: horizon_years must be an integer, got 20.0"),
     _case("grid-param-error", "sweep", dict(_SWP, gamma_values=[0.05, 0.03]),
@@ -766,6 +778,13 @@ _CONFIG_ERRORS = [
           "error: machine_rows[0][1] must be a number, got 'a'"),
     _case("lattice-thetas-element", "lattice", dict(_TABLE, thetas=[0.2, False]),
           "error: thetas[1] must be a number, got False"),
+    _case("lattice-p-below-range", "lattice", {"family": "linear", "p": 5e-4},
+          "error: p must lie in [0.001, 1000], the range of Beta shapes the CDF is "
+          "tested on, got 0.0005"),
+    _case("lattice-q-above-range", "lattice",
+          {"family": "saturating", "limit_intercept": 1, "limit_slope": 0.5, "q": 2000},
+          "error: q must lie in [0.001, 1000], the range of Beta shapes the CDF is "
+          "tested on, got 2000"),
     _case("lattice-n-tasks", "lattice", {"family": "linear", "n_tasks": 0},
           "error: n_tasks must be >= 1, got 0"),
     _case("lattice-n-tasks-non-integer", "lattice", {"family": "linear", "n_tasks": 1.5},
@@ -819,6 +838,17 @@ class TestConfigErrors:
         with pytest.raises((ParamError, DomainError)) as excinfo:
             load_config(json.dumps(document))
         assert "error: " + str(excinfo.value) == message
+
+    @pytest.mark.parametrize("model,params", [
+        ("boundary", dict(_BND, p=1e-3, q=1e3)),
+        ("sweep", dict(_SWP, p_values=[1e-3, 1e3], q_values=[1e-3, 1e3])),
+        ("lattice", {"family": "linear", "n_tasks": 5, "p": 1e-3, "q": 1e3}),
+    ])
+    def test_tested_shape_range_admits_its_ends(self, tmp_path, capsys, model, params):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": model, "params": params}))
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSizeCaps:

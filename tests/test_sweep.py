@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import workmix.boundary
+import workmix.numerics
 import workmix.sweep
 from workmix import (
     DEFAULT_GRID,
@@ -18,6 +19,7 @@ from workmix import (
     automation_boundary,
     cross50,
     inv_reg_inc_beta,
+    reg_inc_beta,
     run_grid,
 )
 
@@ -264,12 +266,15 @@ class TestMedianBracket:
         # sweep reaches them by (final share and half-share year).
         calls = count_calls(monkeypatch, workmix.sweep, "reg_inc_beta")
         count_calls(monkeypatch, workmix.boundary, "reg_inc_beta", calls)
+        # The rest: those inside the inverse and the median search.
+        inner = count_calls(monkeypatch, workmix.numerics, "reg_inc_beta")
         inverses = count_calls(monkeypatch, workmix.sweep, "inv_reg_inc_beta")
         cells = run_grid(grid)
         monkeypatch.undo()
         assert len(cells) == 1280
         assert calls[0] <= 4 * len(cells)
-        assert inverses[0] == 3 * 64  # the calibration and the two bracket ends
+        assert calls[0] + inner[0] <= 34 * 64
+        assert inverses[0] == 64  # the calibrations only
         assert_cells_match_scan(grid, cells)
         assert {cell.cross50_year is None for cell in cells} == {True, False}
 
@@ -315,14 +320,66 @@ class TestMedianBracket:
         assert cross50(params, horizon, bracket=(lo, math.inf)) == want
 
     def test_unconfirmed_bracket_is_refused(self, monkeypatch):
-        # An inverse that puts both ends on the median: the CDF there does
-        # not clear the band around one half, so no bracket is used.
-        original = workmix.sweep.inv_reg_inc_beta
+        # A location on the median with a density so large that both ends
+        # collapse onto it: the CDF there does not clear the band around one
+        # half, so no bracket is used.
         monkeypatch.setattr(
             workmix.sweep,
-            "inv_reg_inc_beta",
-            lambda target, shape: original(0.5 if abs(target - 0.5) < 1e-6 else target, shape),
+            "locate_quantile",
+            lambda target, shape: (inv_reg_inc_beta(target, shape), 1e300),
         )
         assert workmix.sweep._median_bracket(BetaShape(2.0, 5.0)) == (-math.inf, math.inf)
         grid = GridSpec((1.5, 2.0), (5,), (0.03, 0.05), 40, 0.10)
         assert_cells_match_scan(grid, run_grid(grid))
+
+
+def assert_confirmed_bracket(shape):
+    """A bracket is made, and the computed CDF clears the band at both ends."""
+    lo, hi = workmix.sweep._median_bracket(shape)
+    assert 0.0 <= lo < hi <= 1.0, shape
+    assert reg_inc_beta(lo, shape) <= 0.5 - workmix.sweep._DELTA, shape
+    assert reg_inc_beta(hi, shape) >= 0.5 + workmix.sweep._DELTA, shape
+
+
+class TestBracketCoverage:
+    """Which shapes get a median bracket; the scan serves the rest."""
+
+    def test_every_benchmark_and_default_shape_gets_a_bracket(self):
+        # The benchmark's sweep-grid catalogue: p axes from 0.8, 1.0 and 1.5
+        # in steps of 0.5, q axes from 1.0 and 2.0 in steps of 0.75.
+        shapes = {
+            (p, q)
+            for p_start in (0.8, 1.0, 1.5)
+            for q_start in (1.0, 2.0)
+            for p in axis(p_start, 0.5, 8)
+            for q in axis(q_start, 0.75, 8)
+        }
+        shapes |= {(p, q) for p in DEFAULT_GRID.p_values for q in DEFAULT_GRID.q_values}
+        for p, q in sorted(shapes):
+            assert_confirmed_bracket(BetaShape(float(p), float(q)))
+
+    @given(p=log_uniform(0.05, 50.0), q=log_uniform(0.05, 50.0))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_moderate_shapes_get_a_confirmed_bracket(self, p, q):
+        assert_confirmed_bracket(BetaShape(p, q))
+
+    @pytest.mark.parametrize("shift", [-4.0, 4.0])
+    def test_each_end_is_checked(self, monkeypatch, shift):
+        # A location 4 delta above (below) the median puts lo (hi) on the
+        # median, where the CDF does not clear the band; the other end does.
+        shape = BetaShape(2.0, 5.0)
+        _, density = workmix.sweep.locate_quantile(0.5, shape)
+        monkeypatch.setattr(
+            workmix.sweep,
+            "locate_quantile",
+            lambda target, shape: (
+                inv_reg_inc_beta(target + shift * workmix.sweep._DELTA, shape), density
+            ),
+        )
+        assert workmix.sweep._median_bracket(shape) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("p,q", [(1000.0, 0.01), (40.0, 0.02)])
+    def test_extreme_tested_shape_gets_no_bracket(self, p, q):
+        # (1000, 0.01): an end would fall below 0; (40, 0.02): the median
+        # search gives up.
+        assert workmix.sweep._median_bracket(BetaShape(p, q)) == (-math.inf, math.inf)
