@@ -347,6 +347,33 @@ def _with_horizon(make: Callable[..., Any]) -> Callable[[dict], tuple[Any, int]]
     )
 
 
+def _replicator_run(params: dict) -> tuple[rep.ReplicatorParams, int]:
+    """Build a replicator run, refusing a category whose step can leave [0, 1].
+
+    The step x + r·x·(1 − x)·gap stays in [0, 1] for every x in [0, 1]
+    exactly when |r·gap| <= 1.  r·gap is linear in t, and its computed value
+    monotone in t (each rounding is), so the first and last years the run
+    steps through bound it; the check evaluates the expression that guards
+    ``simulate_replicator``, so every config admitted here runs.
+    """
+    horizon = params["horizon_years"]
+    built = rep.ReplicatorParams(
+        rep.CategoryParams(**params["routine"]), rep.CategoryParams(**params["complex"]),
+        params["sensitivity"], params["w_routine"], params["start_year"],
+    )
+    for name in ("routine", "complex"):
+        category = getattr(built, name)
+        for t in (0, horizon - 1):
+            value = built.sensitivity * category.payoff_gap(t)
+            if abs(value) > 1.0:
+                raise ValidationError(
+                    f"sensitivity * {name} payoff gap (machine_intercept + machine_growth * t "
+                    f"- human_payoff) must lie in [-1, 1] for t in [0, {horizon - 1}], "
+                    f"got {value!r} at t={t}"
+                )
+    return built, horizon
+
+
 @dataclass(frozen=True)
 class LatticeRun:
     """A lattice scenario: the universe recipe plus iteration controls."""
@@ -516,11 +543,7 @@ _SPECS = {
                 *_keys(_as_number, "sensitivity", "w_routine"),
                 *_HORIZON,
             ),
-            build=_with_horizon(
-                lambda routine, complex, **rest: rep.ReplicatorParams(
-                    rep.CategoryParams(**routine), rep.CategoryParams(**complex), **rest
-                )
-            ),
+            build=_replicator_run,
             run=lambda built: rep.simulate_replicator(*built),
             header="year,x_routine,x_complex,x_total",
             rows=lambda data, num: (

@@ -93,6 +93,23 @@ def replicator_step(x: float, t: int, cat: CategoryParams, r: float) -> float:
     return x_next
 
 
+def _settled_step(x: float, t: int, cat: CategoryParams, r: float) -> float:
+    """``replicator_step``, except where only float rounding left [0, 1].
+
+    With |r * gap| <= 1 the exact step lies in [x**2, 2x - x**2], inside
+    [0, 1]; its computed value can still fall below 0 by an ulp once x is
+    tiny (below about 1e-15, or subnormal), so there it is settled at the
+    end the gap pushes towards.
+    """
+    try:
+        return replicator_step(x, t, cat, r)
+    except RangeError:
+        gap = cat.payoff_gap(t)
+        if abs(r * gap) > 1.0:
+            raise
+        return 0.0 if gap < 0 else 1.0
+
+
 def simulate_replicator(
     params: ReplicatorParams, horizon_years: int
 ) -> list[ReplicatorPoint]:
@@ -100,7 +117,9 @@ def simulate_replicator(
 
     Payoff time is calendar time: the step producing the point for year
     y + 1 uses the payoff gap at t = y - start_year, so the very first step
-    is taken with t = 0.
+    is taken with t = 0.  A step raises :class:`RangeError` only where
+    |sensitivity * payoff_gap(t)| > 1; within that bound a share that float
+    rounding alone carries out of [0, 1] stops at the end it crossed.
     """
     if horizon_years < 1:
         raise DomainError(f"horizon_years must be >= 1, got {horizon_years}")
@@ -112,8 +131,8 @@ def simulate_replicator(
 
     points = [ReplicatorPoint(params.start_year, x_r, x_c, total(x_r, x_c))]
     for t in range(horizon_years):
-        x_r = replicator_step(x_r, t, params.routine, params.sensitivity)
-        x_c = replicator_step(x_c, t, params.complex, params.sensitivity)
+        x_r = _settled_step(x_r, t, params.routine, params.sensitivity)
+        x_c = _settled_step(x_c, t, params.complex, params.sensitivity)
         points.append(
             ReplicatorPoint(params.start_year + t + 1, x_r, x_c, total(x_r, x_c))
         )

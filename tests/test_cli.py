@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import workmix.aggregate
 import workmix.cli
@@ -596,7 +598,7 @@ _LATTICE_INVARIANT_ERRORS = [
         "negative-limit", "lattice",
         {"family": "saturating", "n_tasks": 20,
          "limit_intercept": 1.0, "limit_slope": 2.0},
-        "error: machine limit is negative at theta=0.5416726198054462; "
+        "error: machine limit is negative at theta=0.5416726198054461; "
         "the saturating schedule would decrease in t",
     ),
     _case(
@@ -699,6 +701,25 @@ _CONFIG_ERRORS = [
           "error: x0 must lie in [0, 1], got 2"),
     _case("replicator-param-error", "replicator", dict(_REP, sensitivity=0),
           "error: sensitivity must be positive, got 0"),
+    _case("replicator-gap-at-start", "replicator", dict(_REP, sensitivity=1e300),
+          "error: sensitivity * routine payoff gap (machine_intercept + machine_growth * t "
+          "- human_payoff) must lie in [-1, 1] for t in [0, 19], "
+          "got 1.9999999999999997e+299 at t=0"),
+    _case("replicator-gap-at-end", "replicator",
+          dict(_REP, routine=dict(_CAT, machine_growth=-1)),
+          "error: sensitivity * routine payoff gap (machine_intercept + machine_growth * t "
+          "- human_payoff) must lie in [-1, 1] for t in [0, 19], "
+          "got -3.7600000000000002 at t=19"),
+    _case("replicator-complex-gap", "replicator",
+          dict(_REP, complex=dict(_CAT, human_payoff=-1e6), horizon_years=3),
+          "error: sensitivity * complex payoff gap (machine_intercept + machine_growth * t "
+          "- human_payoff) must lie in [-1, 1] for t in [0, 2], got 200000.2 at t=0"),
+    # Shares at 0 never move, but the params would push any other share out.
+    _case("replicator-gap-resting-shares", "replicator",
+          dict(_REP, routine=dict(_CAT, x0=0), complex=dict(_CAT, x0=1), sensitivity=1e3),
+          "error: sensitivity * routine payoff gap (machine_intercept + machine_growth * t "
+          "- human_payoff) must lie in [-1, 1] for t in [0, 19], "
+          "got 199.99999999999994 at t=0"),
     # boundary
     _case("boundary-unknown-key", "boundary", dict(_BND, delta=1),
           "error: unknown key 'delta' in boundary params"),
@@ -849,6 +870,107 @@ class TestConfigErrors:
         path.write_text(json.dumps({"model": model, "params": params}))
         assert main(["run", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+@st.composite
+def replicator_documents(draw):
+    """Replicator configs near |sensitivity * gap| = 1 at either end of the horizon.
+
+    Each end's gap is drawn as a multiple in [-1.25, 1.25] of 1 / sensitivity,
+    -1 and 1 among them, so float rounding leaves some configs just inside
+    the bound and some just outside; tiny and subnormal shares come both
+    from x0 and from long decays.
+    """
+    sensitivity = draw(st.floats(min_value=1e-3, max_value=1e3))
+    horizon = draw(st.integers(min_value=1, max_value=1000))
+    edges = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.25, max_value=1.25))
+    shares = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                       st.sampled_from([5e-324, 1e-300, 1e-17]))
+
+    def category():
+        start, end = draw(edges) / sensitivity, draw(edges) / sensitivity
+        intercept = draw(st.floats(min_value=-10.0, max_value=10.0))
+        return {"x0": draw(shares), "machine_intercept": intercept,
+                "machine_growth": (end - start) / max(horizon - 1, 1),
+                "human_payoff": intercept - start}
+
+    return {"model": "replicator", "params": {
+        "routine": category(), "complex": category(), "sensitivity": sensitivity,
+        "w_routine": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "horizon_years": horizon,
+    }}
+
+
+class TestReplicatorAdmission:
+    @given(replicator_documents())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_admitted_configs_run(self, document):
+        try:
+            config = load_config(json.dumps(document))
+        except ValidationError:
+            return
+        run_config(config)  # a RangeError here is an admitted config that fails
+
+
+# Every numeric param of each base config (nested keys and a list's first
+# element included) is set in turn to each of these values.
+_FUZZ_VALUES = (1e300, -1e300, 1e-300, 1e6, 1e-6, 0, -1)
+_FUZZ_BASES = [
+    *((name, builtin_scenario(name).model, builtin_scenario(name).params)
+      for name in scenario_names()),
+    ("lattice-linear", "lattice", {
+        "family": "linear", "n_tasks": 40, "p": 2.0, "q": 5.0, "alpha_h": 1.0,
+        "beta_h": 1.5, "alpha_m": 1.3704, "beta_m": 2.5, "gamma": 0.04336,
+        "max_years": 60, "stability_window": 3}),
+    ("lattice-saturating", "lattice", {
+        "family": "saturating", "n_tasks": 40, "p": 2.0, "q": 5.0, "alpha_h": 1.0,
+        "beta_h": 1.5, "limit_intercept": 3.0, "limit_slope": 2.0,
+        "max_years": 60, "stability_window": 3}),
+]
+
+
+def _numeric_paths(block):
+    for key, value in block.items():
+        if isinstance(value, dict):
+            yield from ((key, *path) for path in _numeric_paths(value))
+        elif isinstance(value, list):
+            yield (key, 0)
+        elif isinstance(value, (int, float)):
+            yield (key,)
+
+
+def _replaced(block, path, value):
+    copy = json.loads(json.dumps(block))
+    inner = copy
+    for step in path[:-1]:
+        inner = inner[step]
+    inner[path[-1]] = value
+    return copy
+
+
+class TestConfigFuzz:
+    """No config value makes a run exit 2: a refused one exits 1 with one error line."""
+
+    @pytest.mark.parametrize("model,params", [
+        pytest.param(model, params, id=name) for name, model, params in _FUZZ_BASES
+    ])
+    def test_every_value_exits_zero_or_one(self, tmp_path, capsys, model, params):
+        path = tmp_path / "config.json"
+        wrong = []
+        for key_path in _numeric_paths(params):
+            for value in _FUZZ_VALUES:
+                document = {"model": model, "params": _replaced(params, key_path, value)}
+                path.write_text(json.dumps(document))
+                code = main(["run", str(path)])
+                out, err = capsys.readouterr()
+                refused = code == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err)
+                if not (code == 0 and err == "" or refused):
+                    wrong.append((key_path, value, code, err))
+        assert wrong == []
+
+    def test_covers_every_numeric_param(self):
+        counts = [len(list(_numeric_paths(params))) for _, _, params in _FUZZ_BASES]
+        assert counts == [5, 12, 9, 9, 10, 9]
 
 
 class TestSizeCaps:

@@ -1,5 +1,7 @@
 """Finite delegation lattice: monotone chains into a declared fixed point."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from workmix import (
     fixed_point_oracle,
     inv_reg_inc_beta,
     linear_universe,
+    reg_inc_beta,
     run_delegation,
     saturating_universe,
     table_universe,
@@ -413,7 +416,7 @@ class TestPrefixSearch:
         # Limits 1 - 2 theta fall below zero within the task list, so the
         # search's premise fails and the scan names the first negative limit.
         thetas = beta_quantile_thetas(20, BetaShape(2.0, 5.0))
-        with pytest.raises(ParamError, match="negative at theta=0.5416726198054462"):
+        with pytest.raises(ParamError, match="negative at theta=0.5416726198054461"):
             saturating_universe(thetas, Line(1.0, 1.5), Line(1.0, -2.0))
 
     def test_plain_callables_and_listed_thetas_are_scanned(self):
@@ -456,3 +459,49 @@ class TestPrefixSearch:
         truncated = run_delegation(searched, 3)
         assert truncated == run_delegation(scanned, 3)
         assert truncated.counts == (0, 0, 0, 3) and truncated.converged_at is None
+
+
+@st.composite
+def boundary_cases(draw):
+    """Searched universes of both families, with the boundary model's theta_t.
+
+    The machine wins task i in year t exactly when theta_i <= theta_t.
+    """
+    log_shapes = st.floats(min_value=math.log(0.05), max_value=math.log(50.0)).map(math.exp)
+    shape = BetaShape(draw(log_shapes), draw(log_shapes))
+    thetas = beta_quantile_thetas(draw(st.integers(min_value=5, max_value=2000)), shape)
+    a_h = draw(st.floats(min_value=-1.0, max_value=2.0))
+    b_h = draw(st.floats(min_value=0.05, max_value=3.0))
+    if draw(st.booleans()):
+        a_m, b_m = draw(st.floats(min_value=-1.0, max_value=3.0)), draw(coefficients)
+        gamma = draw(st.floats(min_value=1e-3, max_value=0.5))
+        universe = linear_universe(thetas, a_h, b_h, a_m, b_m, gamma)
+        return universe, shape, lambda t: (a_m - a_h + gamma * t) / (b_m + b_h)
+    l0 = draw(st.floats(min_value=0.0, max_value=5.0))
+    l1 = draw(st.floats(min_value=0.0, max_value=l0))
+    universe = saturating_universe(thetas, Line(a_h, b_h), Line(l0, -l1))
+
+    def boundary(t):
+        c = 1.0 - 2.0**-t
+        return (l0 * c - a_h) / (l1 * c + b_h)
+
+    return universe, shape, boundary
+
+
+class TestBoundaryModel:
+    """The lattice's Beta families are the boundary model on N tasks.
+
+    Task i sits at the quantile (i + 1/2) / N, so the count of tasks with
+    theta_i <= theta_t is N * F(theta_t) rounded to the nearest integer.
+    """
+
+    @given(boundary_cases())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_count_within_half_a_task_of_boundary_share(self, case):
+        universe, shape, boundary = case
+        assert isinstance(universe, _PrefixUniverse)
+        n = len(universe)
+        trace = run_delegation(universe, 60)
+        for t, count in enumerate(trace.counts[1:]):
+            share = reg_inc_beta(min(1.0, max(0.0, boundary(t))), shape)
+            assert abs(count / n - share) <= 1 / (2 * n) + 1e-12, (t, count, share)
