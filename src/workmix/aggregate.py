@@ -13,7 +13,7 @@ and admits the exact solution used by ``closed_form``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ParamError
 
@@ -29,8 +29,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AggregateParams:
+class _AggregateFields(NamedTuple):
+    alpha: float
+    beta: float
+    x0: float
+    start_year: int = 2025
+
+
+class AggregateParams(_AggregateFields):
     """Rates and initial condition for the aggregate share recurrence.
 
     Both rates are restricted to [0, 1] with a positive sum, which keeps the
@@ -38,34 +44,36 @@ class AggregateParams:
     1 - alpha - beta strictly inside (-1, 1).
     """
 
-    alpha: float
-    beta: float
-    x0: float
-    start_year: int = 2025
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParamError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ParamError(f"beta must lie in [0, 1], got {self.beta}")
-        if not self.alpha + self.beta > 0.0:
+    def __new__(cls, alpha, beta, x0, start_year=2025):
+        if not 0.0 <= alpha <= 1.0:
+            raise ParamError(f"alpha must lie in [0, 1], got {alpha}")
+        if not 0.0 <= beta <= 1.0:
+            raise ParamError(f"beta must lie in [0, 1], got {beta}")
+        if not alpha + beta > 0.0:
             raise ParamError("alpha + beta must be positive")
-        if not self.alpha + self.beta < 2.0:
+        if not alpha + beta < 2.0:
             raise ParamError("alpha + beta must be below 2 for a stable iteration")
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ParamError(f"x0 must lie in [0, 1], got {self.x0}")
+        if not 0.0 <= x0 <= 1.0:
+            raise ParamError(f"x0 must lie in [0, 1], got {x0}")
+        return tuple.__new__(cls, (alpha, beta, x0, start_year))
 
 
-@dataclass(frozen=True)
-class SharePoint:
-    """One (calendar year, automated share) sample."""
-
+class _SharePointFields(NamedTuple):
     year: int
     share: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.share <= 1.0:
-            raise ParamError(f"share must lie in [0, 1], got {self.share}")
+
+class SharePoint(_SharePointFields):
+    """One (calendar year, automated share) sample."""
+
+    __slots__ = ()
+
+    def __new__(cls, year, share):
+        if not 0.0 <= share <= 1.0:
+            raise ParamError(f"share must lie in [0, 1], got {share}")
+        return tuple.__new__(cls, (year, share))
 
 
 def step(x: float, params: AggregateParams) -> float:

@@ -18,7 +18,7 @@ it solves for the machine intercept and the improvement rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CalibrationError, DomainError, ParamError
 from .numerics import BetaShape, inv_reg_inc_beta, reg_inc_beta
@@ -37,10 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContinuousParams:
-    """Payoff-line coefficients, improvement rate, and intricacy distribution."""
-
+class _ContinuousFields(NamedTuple):
     alpha_h: float
     beta_h: float
     alpha_m: float
@@ -49,17 +46,23 @@ class ContinuousParams:
     shape: BetaShape
     start_year: int = 2025
 
-    def __post_init__(self) -> None:
-        if not self.beta_h > 0:
-            raise ParamError(f"beta_h must be positive, got {self.beta_h}")
-        if not self.beta_m > 0:
-            raise ParamError(f"beta_m must be positive, got {self.beta_m}")
-        if not self.gamma > 0:
-            raise ParamError(f"gamma must be positive, got {self.gamma}")
+
+class ContinuousParams(_ContinuousFields):
+    """Payoff-line coefficients, improvement rate, and intricacy distribution."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha_h, beta_h, alpha_m, beta_m, gamma, shape, start_year=2025):
+        if not beta_h > 0:
+            raise ParamError(f"beta_h must be positive, got {beta_h}")
+        if not beta_m > 0:
+            raise ParamError(f"beta_m must be positive, got {beta_m}")
+        if not gamma > 0:
+            raise ParamError(f"gamma must be positive, got {gamma}")
+        return tuple.__new__(cls, (alpha_h, beta_h, alpha_m, beta_m, gamma, shape, start_year))
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Yearly sample: raw boundary (may leave [0, 1]) and the clamped share."""
 
     year: int

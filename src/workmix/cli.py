@@ -29,8 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import aggregate as agg
 from . import boundary as bnd
@@ -72,8 +71,7 @@ __all__ = [
 # Configuration model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     """Where and how results are written."""
 
     format: str = "csv"
@@ -81,8 +79,7 @@ class OutputSpec:
     precision: int = 6
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A validated scenario: model name, canonical params, output options.
 
     ``params`` is stored in canonical JSON-able form with every default
@@ -99,8 +96,7 @@ class ScenarioConfig:
         return _SPECS[self.model].build(self.params)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Computed output of one scenario, tagged with its model."""
 
     model: str
@@ -115,8 +111,7 @@ class RunResult:
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     """One params key.
 
     ``kind`` is a checker ``(value, label) -> value`` or, for a nested
@@ -374,8 +369,7 @@ def _replicator_run(params: dict) -> tuple[rep.ReplicatorParams, int]:
     return built, horizon
 
 
-@dataclass(frozen=True)
-class LatticeRun:
+class LatticeRun(NamedTuple):
     """A lattice scenario: the universe recipe plus iteration controls."""
 
     params: dict
@@ -491,8 +485,7 @@ def _sweep_heatmap(result: RunResult) -> str:
 # The model registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ModelSpec:
+class _ModelSpec(NamedTuple):
     """Everything the CLI knows about one model.
 
     ``keys`` is the params schema (``check`` replaces it where the schema

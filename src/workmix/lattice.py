@@ -26,10 +26,10 @@ its length, computing a task's values only when read; else it scans every task.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import DomainError, MonotonicityError, ParamError
 from .numerics import BetaShape, inv_reg_inc_beta
 
@@ -76,8 +76,7 @@ class Line(NamedTuple):
         return self.intercept + self.slope * theta
 
 
-@dataclass(frozen=True)
-class TaskUniverse:
+class TaskUniverse(Frozen):
     """Per-task values plus the machine schedule, one row per year.
 
     ``thetas``, ``human`` and ``limit`` hold one value per task, task i at
@@ -87,19 +86,27 @@ class TaskUniverse:
     ``limit`` is its declared asymptote.
     """
 
-    thetas: Sequence[float]
-    human: Sequence[float]
-    limit: Sequence[float]
-    machine: Callable[[int], Sequence[float]]
+    _fields = ("thetas", "human", "limit", "machine")
 
-    def __post_init__(self) -> None:
-        if not len(self.thetas) == len(self.human) == len(self.limit):
+    def __init__(
+        self,
+        thetas: Sequence[float],
+        human: Sequence[float],
+        limit: Sequence[float],
+        machine: Callable[[int], Sequence[float]],
+    ) -> None:
+        if not len(thetas) == len(human) == len(limit):
             raise ParamError("thetas, human and limit need one value per task")
-        if isinstance(self, _PrefixUniverse):
-            return  # Beta quantiles lie in [0, 1]; checking would invert them all
-        for index, theta in enumerate(self.thetas):
-            if not 0.0 <= theta <= 1.0:
-                raise ParamError(f"task {index} has theta {theta} outside [0, 1]")
+        # A _PrefixUniverse's Beta quantiles lie in [0, 1]; checking would invert them all.
+        if not isinstance(self, _PrefixUniverse):
+            for index, theta in enumerate(thetas):
+                if not 0.0 <= theta <= 1.0:
+                    raise ParamError(f"task {index} has theta {theta} outside [0, 1]")
+        store = object.__setattr__
+        store(self, "thetas", thetas)
+        store(self, "human", human)
+        store(self, "limit", limit)
+        store(self, "machine", machine)
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -109,11 +116,10 @@ class _PrefixUniverse(TaskUniverse):
     """Built only when the module's premise holds: the machine wins a prefix of the ids."""
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Set of task ids currently delegated to the machine."""
 
-    automated: frozenset[int] = field(default_factory=frozenset)
+    automated: frozenset[int] = frozenset()
 
     def fraction(self, n_tasks: int) -> float:
         """Automated share |A| / N; zero for an empty universe."""
@@ -122,8 +128,7 @@ class Allocation:
         return len(self.automated) / n_tasks
 
 
-@dataclass(frozen=True)
-class DelegationTrace:
+class DelegationTrace(NamedTuple):
     """Row k automates the first ``counts[k]`` ids of ``order``: the empty start, then
     year offset k - 1.  ``converged_at`` is None when the run was truncated."""
 

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable
 
+from ._frozen import Frozen
 from .errors import BracketError, ComputationError, DomainError
 
 __all__ = [
@@ -83,8 +83,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 TESTED_SHAPE_RANGE = (1e-3, 1e3)
 
 
-@dataclass(frozen=True)
-class BetaShape:
+class BetaShape(Frozen):
     """Shape parameters (p, q) of a Beta distribution, both finite and > 0.
 
     ``log_beta`` is ln B(p, q), computed once when the shape is made so that
@@ -92,27 +91,22 @@ class BetaShape:
     and q both lie in [1e-3, 1e3], where the CDF is tested to within 1e-12;
     the fast paths that rely on that accuracy read it.  Both are derived, so
     they take no constructor argument and play no part in equality, hashing
-    or repr.
+    or repr.  All four are plain instance attributes, the quickest to read.
     """
 
-    p: float
-    q: float
-    log_beta: float = field(init=False, compare=False, repr=False)
-    tested: bool = field(init=False, compare=False, repr=False)
+    _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if not (self.p > 0 and self.q > 0):
-            raise DomainError(
-                f"beta shape parameters must be positive, got p={self.p}, q={self.q}"
-            )
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise DomainError(
-                f"beta shape parameters must be finite, got p={self.p}, q={self.q}"
-            )
-        object.__setattr__(self, "log_beta", log_beta(self.p, self.q))
+    def __init__(self, p: float, q: float) -> None:
+        if not (p > 0 and q > 0):
+            raise DomainError(f"beta shape parameters must be positive, got p={p}, q={q}")
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise DomainError(f"beta shape parameters must be finite, got p={p}, q={q}")
         low, high = TESTED_SHAPE_RANGE
-        tested = low <= self.p <= high and low <= self.q <= high
-        object.__setattr__(self, "tested", tested)
+        store = object.__setattr__
+        store(self, "p", p)
+        store(self, "q", q)
+        store(self, "log_beta", log_beta(p, q))
+        store(self, "tested", low <= p <= high and low <= q <= high)
 
 
 def log_gamma(x: float) -> float:

@@ -12,7 +12,7 @@ total across the two categories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ParamError, RangeError
 
@@ -26,49 +26,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CategoryParams:
+class _CategoryFields(NamedTuple):
+    x0: float
+    machine_intercept: float
+    machine_growth: float
+    human_payoff: float
+
+
+class CategoryParams(_CategoryFields):
     """One task category: initial share plus its payoff schedule.
 
     The machine side earns machine_intercept + machine_growth * t at year
     offset t; the human side earns the constant human_payoff.
     """
 
-    x0: float
-    machine_intercept: float
-    machine_growth: float
-    human_payoff: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ParamError(f"x0 must lie in [0, 1], got {self.x0}")
+    def __new__(cls, x0, machine_intercept, machine_growth, human_payoff):
+        if not 0.0 <= x0 <= 1.0:
+            raise ParamError(f"x0 must lie in [0, 1], got {x0}")
+        return tuple.__new__(cls, (x0, machine_intercept, machine_growth, human_payoff))
 
     def payoff_gap(self, t: int) -> float:
         """Machine payoff advantage at year offset t."""
         return self.machine_intercept + self.machine_growth * t - self.human_payoff
 
 
-@dataclass(frozen=True)
-class ReplicatorParams:
+class _ReplicatorFields(NamedTuple):
     routine: CategoryParams
     complex: CategoryParams
     sensitivity: float
     w_routine: float
     start_year: int = 2025
 
-    def __post_init__(self) -> None:
-        if not self.sensitivity > 0:
-            raise ParamError(f"sensitivity must be positive, got {self.sensitivity}")
-        if not 0.0 <= self.w_routine <= 1.0:
-            raise ParamError(f"w_routine must lie in [0, 1], got {self.w_routine}")
+
+class ReplicatorParams(_ReplicatorFields):
+    __slots__ = ()
+
+    def __new__(cls, routine, complex, sensitivity, w_routine, start_year=2025):
+        if not sensitivity > 0:
+            raise ParamError(f"sensitivity must be positive, got {sensitivity}")
+        if not 0.0 <= w_routine <= 1.0:
+            raise ParamError(f"w_routine must lie in [0, 1], got {w_routine}")
+        return tuple.__new__(cls, (routine, complex, sensitivity, w_routine, start_year))
 
     @property
     def w_complex(self) -> float:
         return 1.0 - self.w_routine
 
 
-@dataclass(frozen=True)
-class ReplicatorPoint:
+class ReplicatorPoint(NamedTuple):
     year: int
     x_routine: float
     x_complex: float
@@ -78,36 +85,24 @@ class ReplicatorPoint:
 def replicator_step(x: float, t: int, cat: CategoryParams, r: float) -> float:
     """One replicator update for a single category at year offset t.
 
-    The result must stay inside [0, 1]; leaving it signals parameter misuse
-    (an oversized sensitivity or payoff gap) and raises rather than clamps.
+    With |r * gap| <= 1 the exact step lies in [x**2, 2x - x**2], inside
+    [0, 1]; its computed value can still fall out of it by an ulp once x is
+    tiny (below about 1e-15, or subnormal), so there it is settled at the
+    end the gap pushes towards.  A step with |r * gap| > 1 that leaves
+    [0, 1] signals parameter misuse (an oversized sensitivity or payoff gap)
+    and raises :class:`RangeError` rather than clamps.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"share must lie in [0, 1], got {x}")
     if t < 0:
         raise DomainError(f"t must be non-negative, got {t}")
-    x_next = x + r * x * (1.0 - x) * cat.payoff_gap(t)
+    gap = cat.payoff_gap(t)
+    x_next = x + r * x * (1.0 - x) * gap
     if not 0.0 <= x_next <= 1.0:
-        raise RangeError(
-            f"replicator step left [0, 1]: x={x}, t={t} gave {x_next}"
-        )
-    return x_next
-
-
-def _settled_step(x: float, t: int, cat: CategoryParams, r: float) -> float:
-    """``replicator_step``, except where only float rounding left [0, 1].
-
-    With |r * gap| <= 1 the exact step lies in [x**2, 2x - x**2], inside
-    [0, 1]; its computed value can still fall below 0 by an ulp once x is
-    tiny (below about 1e-15, or subnormal), so there it is settled at the
-    end the gap pushes towards.
-    """
-    try:
-        return replicator_step(x, t, cat, r)
-    except RangeError:
-        gap = cat.payoff_gap(t)
         if abs(r * gap) > 1.0:
-            raise
+            raise RangeError(f"replicator step left [0, 1]: x={x}, t={t} gave {x_next}")
         return 0.0 if gap < 0 else 1.0
+    return x_next
 
 
 def simulate_replicator(
@@ -118,8 +113,7 @@ def simulate_replicator(
     Payoff time is calendar time: the step producing the point for year
     y + 1 uses the payoff gap at t = y - start_year, so the very first step
     is taken with t = 0.  A step raises :class:`RangeError` only where
-    |sensitivity * payoff_gap(t)| > 1; within that bound a share that float
-    rounding alone carries out of [0, 1] stops at the end it crossed.
+    |sensitivity * payoff_gap(t)| > 1 (see :func:`replicator_step`).
     """
     if horizon_years < 1:
         raise DomainError(f"horizon_years must be >= 1, got {horizon_years}")
@@ -131,8 +125,8 @@ def simulate_replicator(
 
     points = [ReplicatorPoint(params.start_year, x_r, x_c, total(x_r, x_c))]
     for t in range(horizon_years):
-        x_r = _settled_step(x_r, t, params.routine, params.sensitivity)
-        x_c = _settled_step(x_c, t, params.complex, params.sensitivity)
+        x_r = replicator_step(x_r, t, params.routine, params.sensitivity)
+        x_c = replicator_step(x_c, t, params.complex, params.sensitivity)
         points.append(
             ReplicatorPoint(params.start_year + t + 1, x_r, x_c, total(x_r, x_c))
         )

@@ -30,7 +30,7 @@ Without a bracket, lo = -inf and hi = +inf, which is the scan itself;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boundary import ContinuousParams, automated_share, automation_boundary
 from .errors import ParamError
@@ -59,10 +59,7 @@ def _require_ascending(name: str, values: tuple) -> None:
         raise ParamError(f"{name} must be positive, got {values!r}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sweep axes plus the quantities held fixed across cells."""
-
+class _GridFields(NamedTuple):
     p_values: tuple[float, ...]
     q_values: tuple[float, ...]
     gamma_values: tuple[float, ...]
@@ -73,23 +70,31 @@ class GridSpec:
     beta_m: float = 2.5
     start_year: int = 2025
 
-    def __post_init__(self) -> None:
-        _require_ascending("p_values", self.p_values)
-        _require_ascending("q_values", self.q_values)
-        _require_ascending("gamma_values", self.gamma_values)
-        if self.horizon_years < 1:
+
+class GridSpec(_GridFields):
+    """Sweep axes plus the quantities held fixed across cells."""
+
+    __slots__ = ()
+
+    def __new__(cls, p_values, q_values, gamma_values, horizon_years, initial_share_target,
+                alpha_h=1.0, beta_h=1.5, beta_m=2.5, start_year=2025):
+        _require_ascending("p_values", p_values)
+        _require_ascending("q_values", q_values)
+        _require_ascending("gamma_values", gamma_values)
+        if horizon_years < 1:
+            raise ParamError(f"horizon_years must be >= 1, got {horizon_years}")
+        if not 0.0 < initial_share_target < 1.0:
             raise ParamError(
-                f"horizon_years must be >= 1, got {self.horizon_years}"
+                f"initial_share_target must lie in (0, 1), got {initial_share_target}"
             )
-        if not 0.0 < self.initial_share_target < 1.0:
-            raise ParamError(
-                "initial_share_target must lie in (0, 1), got "
-                f"{self.initial_share_target}"
-            )
+        return tuple.__new__(
+            cls,
+            (p_values, q_values, gamma_values, horizon_years, initial_share_target,
+             alpha_h, beta_h, beta_m, start_year),
+        )
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """Outcome of one (p, q, gamma) cell."""
 
     p: float

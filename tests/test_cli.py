@@ -16,7 +16,7 @@ import workmix.aggregate
 import workmix.cli
 import workmix.lattice
 import workmix.sweep
-from workmix import ChartError, DomainError, ParamError, ParseError, ValidationError
+from workmix import BetaShape, ChartError, DomainError, ParamError, ParseError, ValidationError
 from workmix.cli import (
     OutputSpec,
     RunResult,
@@ -529,6 +529,22 @@ class TestMain:
         assert done.stderr.strip() == "False False 0"
         assert done.stdout.endswith("42/42 golden checks passed\n")
 
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # Every CLI process pays for what ``import workmix.cli`` loads; the
+        # value types are built without ``dataclasses`` and its ``inspect``.
+        code = (
+            "import sys\n"
+            "before = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "import workmix.cli\n"
+            "print(sorted(before), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(workmix.lattice.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout == "[] []\n", done.stderr
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         names = capsys.readouterr().out.split()
@@ -572,6 +588,12 @@ _BND = {"alpha_h": 1.0, "beta_h": 1.5, "alpha_m": 1.3704, "beta_m": 2.5,
 _SWP = {"p_values": [2.0], "q_values": [5], "gamma_values": [0.05]}
 _TABLE = {"family": "table", "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],
           "machine_rows": [[0.5, 0.2]]}
+# The first of 20 Beta(2, 5) quantiles whose limit 1 - 2 theta is negative,
+# as the error line prints it; its last digits follow ln B and the inverse.
+_NEGATIVE_LIMIT_THETA = next(
+    theta for theta in workmix.lattice.beta_quantile_thetas(20, BetaShape(2.0, 5.0))
+    if workmix.lattice.Line(1.0, -2.0)(theta) < 0
+)
 
 
 def _case(case_id, model, params, message, **document):
@@ -598,7 +620,7 @@ _LATTICE_INVARIANT_ERRORS = [
         "negative-limit", "lattice",
         {"family": "saturating", "n_tasks": 20,
          "limit_intercept": 1.0, "limit_slope": 2.0},
-        "error: machine limit is negative at theta=0.5416726198054461; "
+        f"error: machine limit is negative at theta={_NEGATIVE_LIMIT_THETA!r}; "
         "the saturating schedule would decrease in t",
     ),
     _case(

@@ -75,6 +75,13 @@ class TestStep:
         with pytest.raises(RangeError):
             replicator_step(0.9, 0, hot, 0.2)
 
+    def test_rounding_out_of_range_settles_at_the_end_pushed_towards(self):
+        # r * gap = -1: the exact step is x**2 >= 0, the computed one -1.66e-316.
+        falling = CategoryParams(x0=0.5, machine_intercept=0.0,
+                                 machine_growth=0.0, human_payoff=0.64)
+        assert 1e-300 + 1.5625 * 1e-300 * (1.0 - 1e-300) * -0.64 < 0.0
+        assert replicator_step(1e-300, 0, falling, 1.5625) == 0.0
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             replicator_step(-0.1, 0, DEFAULT_REPLICATOR.routine, 0.2)
@@ -149,13 +156,18 @@ class TestProperties:
            st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_step_bounded_and_signed(self, cat, x, t, r):
-        # Mirror the update formula; the step must either return exactly
-        # this value (when inside the interval) or refuse to leave it.
+        # Mirror the update formula; the step must return exactly this value
+        # when inside the interval.  Outside it, the step refuses to leave
+        # where |r * gap| > 1, and settles at the end the gap pushes towards
+        # where only float rounding left the interval.
         gap = cat.payoff_gap(t)
         expected = x + r * x * (1.0 - x) * gap
         if not 0.0 <= expected <= 1.0:
-            with pytest.raises(RangeError):
-                replicator_step(x, t, cat, r)
+            if abs(r * gap) > 1.0:
+                with pytest.raises(RangeError):
+                    replicator_step(x, t, cat, r)
+            else:
+                assert replicator_step(x, t, cat, r) == (0.0 if gap < 0 else 1.0)
             return
         next_x = replicator_step(x, t, cat, r)
         assert next_x == expected
