@@ -45,9 +45,9 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
-    TESTED_SHAPE_RANGE,
     BetaShape,
     bisect_root,
+    check_tested_shape,
     inv_reg_inc_beta,
     oracle_beta_cdf,
     reg_inc_beta,
@@ -158,18 +158,10 @@ def _in_double_range(value: Any, label: str) -> Any:
 
 
 def _as_shape(value: Any, label: str) -> float:
-    """A Beta shape parameter: a positive one must lie in the tested range.
-
-    A value <= 0 is left to ``BetaShape`` and ``GridSpec``, whose messages
-    already name it.
-    """
+    """A Beta shape parameter, refused by name outside ``BetaShape``'s range."""
     value = _as_number(value, label)
-    low, high = TESTED_SHAPE_RANGE
-    if value > 0 and not low <= value <= high:
-        raise ValidationError(
-            f"{label} must lie in [{low:g}, {high:g}], the range of Beta shapes "
-            f"the CDF is tested on, got {value}"
-        )
+    if value > 0:  # BetaShape and GridSpec refuse a value <= 0 in their own words
+        check_tested_shape(value, label)
     return value
 
 
@@ -627,6 +619,8 @@ def _output_from_dict(block: dict) -> OutputSpec:
     path = merged["path"]
     if path is not None and not isinstance(path, str):
         raise ValidationError(f"output.path must be a string, got {path!r}")
+    if path == "":
+        raise ValidationError("output.path must not be empty")
     return OutputSpec(format=fmt, path=path, precision=precision)
 
 
@@ -958,7 +952,7 @@ def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str 
     )
     if not 0 <= precision <= 17:
         raise ValidationError(f"precision must lie in [0, 17], got {precision}")
-    path = args.out or config.output.path
+    path = args.out if args.out is not None else config.output.path
     result = run_config(config)
     if fmt == "csv":
         return emit_csv(result, precision), path
@@ -970,6 +964,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     try:
         args = _build_parser().parse_args(list(argv) if argv is not None else None)
+        if args.out == "":
+            raise ValidationError("--out must not be empty")
         if args.command in ("run", "scenario"):
             if args.command == "run":
                 try:

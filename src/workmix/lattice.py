@@ -15,12 +15,12 @@ toward a finite limit (a nontrivial split can persist), and explicit
 year-by-year tables (exact saturation after the last row).  Each family
 evaluates a task's values at most once.
 
-Premise: Beta-quantile thetas, p and q in [1e-3, 1e3] (never decreasing in the
-id, as the CDF's error of 1e-12 is far below the 1/n between targets), a human
-:class:`Line` of slope >= 0, a machine base (linear year-zero value, saturating
-limit) :class:`Line` of slope <= 0, and a last saturating limit >= 0.  Then the
-machine wins a prefix of the ids every year and ``run_delegation`` bisects for
-its length, computing a task's values only when read; else it scans every task.
+Premise: Beta-quantile thetas (never decreasing in the id, as the CDF's error
+of 1e-12 is far below the 1/n between targets), a human :class:`Line` of slope
+>= 0, a machine base (linear year-zero value, saturating limit) :class:`Line` of
+slope <= 0, and a last saturating limit >= 0.  Then the machine wins a prefix
+of the ids every year and ``run_delegation`` bisects for its length, computing
+a task's values only when read; else it scans every task.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class _Lazy(Sequence):
 
 
 class _Quantiles(_Lazy):
-    """Beta quantiles of a tested shape, one theta of the module's premise."""
+    """Beta quantiles, one theta of the module's premise."""
 
 
 class Line(NamedTuple):
@@ -215,8 +215,7 @@ def beta_quantile_thetas(n: int, shape: BetaShape) -> Sequence[float]:
     """Intricacy values, Beta(p, q) quantiles at (i + 0.5) / n, inverted when first read."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    kind = _Quantiles if shape.tested else _Lazy
-    return kind(range(n), lambda i: inv_reg_inc_beta((i + 0.5) / n, shape))
+    return _Quantiles(range(n), lambda i: inv_reg_inc_beta((i + 0.5) / n, shape))
 
 
 def _premise(thetas: Sequence[float], human: Callable, base: Callable, saturating: bool):

@@ -48,6 +48,7 @@ from .errors import BracketError, ComputationError, DomainError
 __all__ = [
     "BetaShape",
     "TESTED_SHAPE_RANGE",
+    "check_tested_shape",
     "log_gamma",
     "log_beta",
     "reg_inc_beta",
@@ -79,19 +80,26 @@ _EXPONENT_ULPS = 4.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 #: The range of p and q over which the CDF is tested against mpmath to
-#: within 1e-12; ``BetaShape.tested`` reads it.
+#: within 1e-12, both ends inclusive; ``BetaShape`` refuses shapes outside it.
 TESTED_SHAPE_RANGE = (1e-3, 1e3)
 
 
-class BetaShape(Frozen):
-    """Shape parameters (p, q) of a Beta distribution, both finite and > 0.
+def check_tested_shape(value: float, label: str) -> None:
+    """Refuse a shape parameter outside ``TESTED_SHAPE_RANGE``, naming it ``label``."""
+    low, high = TESTED_SHAPE_RANGE
+    if not low <= value <= high:
+        raise DomainError(
+            f"{label} must lie in [{low:g}, {high:g}], the range of Beta shapes "
+            f"the CDF is tested on, got {value}"
+        )
 
-    ``log_beta`` is ln B(p, q), computed once when the shape is made so that
-    every CDF evaluation on the shape reuses it.  ``tested`` says whether p
-    and q both lie in [1e-3, 1e3], where the CDF is tested to within 1e-12;
-    the fast paths that rely on that accuracy read it.  Both are derived, so
-    they take no constructor argument and play no part in equality, hashing
-    or repr.  All four are plain instance attributes, the quickest to read.
+
+class BetaShape(Frozen):
+    """Shape parameters (p, q) of a Beta distribution, both in ``TESTED_SHAPE_RANGE``.
+
+    ``log_beta`` is ln B(p, q), computed once here for every CDF evaluation on
+    the shape to reuse; it takes no constructor argument and plays no part in
+    equality, hashing or repr.  All three are plain attributes, the quickest to read.
     """
 
     _fields = ("p", "q")
@@ -101,12 +109,12 @@ class BetaShape(Frozen):
             raise DomainError(f"beta shape parameters must be positive, got p={p}, q={q}")
         if not (math.isfinite(p) and math.isfinite(q)):
             raise DomainError(f"beta shape parameters must be finite, got p={p}, q={q}")
-        low, high = TESTED_SHAPE_RANGE
+        check_tested_shape(p, "p")
+        check_tested_shape(q, "q")
         store = object.__setattr__
         store(self, "p", p)
         store(self, "q", q)
         store(self, "log_beta", log_beta(p, q))
-        store(self, "tested", low <= p <= high and low <= q <= high)
 
 
 def log_gamma(x: float) -> float:

@@ -14,17 +14,16 @@ either side of it (delta = 1e-9), and keeps the bracket only if it lies in
 [0, 1] and the computed CDF is <= 1/2 - delta at lo and >= 1/2 + delta at
 hi.  The location is an estimate; those two checks alone make the bracket
 valid.  The premise is that the computed CDF is within E = 1e-12 of the
-exact one, which the tests check against mpmath for p and q in [1e-3, 1e3];
-outside that range no bracket is made.  Since delta > 2E and the exact CDF
-is non-decreasing, every boundary below lo has a computed share below 1/2
-and every boundary at or above hi one above 1/2.  So the years whose
-boundary is below lo are skipped without a CDF evaluation (the first year
-at or above lo is estimated in closed form, then corrected by stepping the
-boundary, which never decreases in t), a year whose boundary is at or above
-hi is the answer without one, and only the years in between pay a CDF
-evaluation.  Where the bracket sits decides only how many years pay one.
-Without a bracket, lo = -inf and hi = +inf, which is the scan itself;
-``cross50`` runs it unless given a bracket.
+exact one, as the tests check against mpmath over ``BetaShape``'s range.
+Since delta > 2E and the exact CDF is non-decreasing, every boundary below
+lo has a computed share below 1/2 and every boundary at or above hi one
+above 1/2.  So the years whose boundary is below lo are skipped without a
+CDF evaluation (the first year at or above lo is estimated in closed form,
+then corrected by stepping the boundary, which never decreases in t), a
+year whose boundary is at or above hi is the answer without one, and only
+the years in between pay a CDF evaluation.  Where the bracket sits decides
+only how many years pay one.  Without a bracket, lo = -inf and hi = +inf,
+which is the scan itself; ``cross50`` runs it unless given a bracket.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 # Half-width of the band around one half that the median bracket keeps clear
-# of; a tested shape's forward CDF is within 1e-12 < delta / 2.
+# of; the forward CDF is within 1e-12 < delta / 2.
 _DELTA = 1e-9
 _NO_BRACKET = (-math.inf, math.inf)
 
@@ -108,23 +107,20 @@ class GridCell(NamedTuple):
 def _median_bracket(shape: BetaShape) -> tuple[float, float]:
     """(lo, hi) such that the computed share is < 1/2 below lo and > 1/2 from hi.
 
-    The ends sit 4 delta / density either side of the located median.
-    ``_NO_BRACKET`` when the shape lies outside the tested range, the search
-    finds no density, an end leaves [0, 1], or the computed CDF does not
-    clear the band of half-width ``_DELTA`` at an end.
+    ``_NO_BRACKET`` when the median search finds no density, an end leaves
+    [0, 1], or the computed CDF does not clear the ``_DELTA`` band at an end.
     """
-    if shape.tested:
-        median, density = locate_quantile(0.5, shape)
-        if density > 0.0:
-            width = 4.0 * _DELTA / density
-            lo, hi = median - width, median + width
-            if (
-                0.0 <= lo
-                and hi <= 1.0
-                and reg_inc_beta(lo, shape) <= 0.5 - _DELTA
-                and reg_inc_beta(hi, shape) >= 0.5 + _DELTA
-            ):
-                return lo, hi
+    median, density = locate_quantile(0.5, shape)
+    if density > 0.0:
+        width = 4.0 * _DELTA / density
+        lo, hi = median - width, median + width
+        if (
+            0.0 <= lo
+            and hi <= 1.0
+            and reg_inc_beta(lo, shape) <= 0.5 - _DELTA
+            and reg_inc_beta(hi, shape) >= 0.5 + _DELTA
+        ):
+            return lo, hi
     return _NO_BRACKET
 
 

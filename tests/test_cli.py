@@ -864,6 +864,8 @@ _CONFIG_ERRORS = [
           output={"precision": "3"}),
     _case("output-path", "aggregate", _AGG,
           "error: output.path must be a string, got 5", output={"path": 5}),
+    _case("output-path-empty", "aggregate", _AGG,
+          "error: output.path must not be empty", output={"path": ""}),
 ]
 
 
@@ -1164,6 +1166,21 @@ class TestOutErrors:
             f"error: cannot write {str(target)!r}: No such file or directory\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["run", "config.json"], ["scenario", "paper-aggregate"], ["list-scenarios"], ["verify"],
+    ])
+    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        # An empty --out neither falls back to output.path nor reaches a write.
+        monkeypatch.chdir(tmp_path)
+        config = {"model": "aggregate", "scenario": "paper-aggregate",
+                  "output": {"path": "out.csv"}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main([*command, "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestMainBranches:

@@ -426,9 +426,6 @@ class TestPrefixSearch:
         scanned = [
             saturating_universe(thetas, lambda th: 1.0, Line(2.0, -1.0)),
             linear_universe(list(thetas), 1.0, 1.5, 1.3704, 2.5, 0.04336),
-            linear_universe(
-                beta_quantile_thetas(20, BetaShape(5e-4, 2.0)), 1.0, 1.5, 1.3704, 2.5, 0.04336
-            ),
         ]
         assert not any(isinstance(universe, _PrefixUniverse) for universe in scanned)
 
@@ -463,13 +460,15 @@ class TestPrefixSearch:
         assert truncated.counts == (0, 0, 0, 3) and truncated.converged_at is None
 
 
+log_shapes = st.floats(min_value=math.log(0.05), max_value=math.log(50.0)).map(math.exp)
+
+
 @st.composite
 def boundary_cases(draw):
     """Searched universes of both families, with the boundary model's theta_t.
 
     The machine wins task i in year t exactly when theta_i <= theta_t.
     """
-    log_shapes = st.floats(min_value=math.log(0.05), max_value=math.log(50.0)).map(math.exp)
     shape = BetaShape(draw(log_shapes), draw(log_shapes))
     thetas = beta_quantile_thetas(draw(st.integers(min_value=5, max_value=2000)), shape)
     a_h = draw(st.floats(min_value=-1.0, max_value=2.0))
@@ -507,3 +506,58 @@ class TestBoundaryModel:
         for t, count in enumerate(trace.counts[1:]):
             share = reg_inc_beta(min(1.0, max(0.0, boundary(t))), shape)
             assert abs(count / n - share) <= 1 / (2 * n) + 1e-12, (t, count, share)
+
+
+@st.composite
+def saturating_premise_cases(draw):
+    """Searched saturating universes, drawn as ``boundary_cases`` draws them."""
+    shape = BetaShape(draw(log_shapes), draw(log_shapes))
+    n = draw(st.integers(min_value=5, max_value=2000))
+    a_h = draw(st.floats(min_value=-1.0, max_value=2.0))
+    b_h = draw(st.floats(min_value=0.05, max_value=3.0))
+    l0 = draw(st.floats(min_value=0.0, max_value=5.0))
+    l1 = draw(st.floats(min_value=0.0, max_value=l0))
+    return shape, n, Line(a_h, b_h), Line(l0, -l1)
+
+
+class TestLimitAllocation:
+    """The saturating limit allocation exists, is unique and is set by theta*.
+
+    With human a_h + b_h theta and machine limit L0 - L1 theta, task i is
+    automated in the limit exactly when theta_i <= theta* = (L0 - a_h) /
+    (L1 + b_h): a prefix of the ids, whose length is N F(theta*) rounded.
+    In doubles the two utilities of a task within a few ulps of theta* may
+    round to a tie either way, which moves F by up to eps**p at a steep
+    tail, so the share is bracketed by F at theta* -+ that slack.
+    """
+
+    @staticmethod
+    def check(shape, n, human, limit):
+        universe = saturating_universe(beta_quantile_thetas(n, shape), human, limit)
+        assert isinstance(universe, _PrefixUniverse)
+        automated = fixed_point_oracle(universe).automated
+        k = len(automated)
+        assert automated == frozenset(range(k))
+        span = human.slope - limit.slope
+        theta_star = (limit.intercept - human.intercept) / span
+        slack = 8.0 * math.ulp(max(map(abs, (*human, *limit)))) / span + math.ulp(theta_star)
+        low, high = (
+            reg_inc_beta(min(1.0, max(0.0, theta_star + d)), shape) for d in (-slack, slack)
+        )
+        tolerance = 1 / (2 * n) + 1e-12
+        assert low - tolerance <= k / n <= high + tolerance, (k, low, high)
+        if limit(0.0) < human(0.0):  # L0 < a_h
+            assert k == 0
+        if limit(1.0) > human(1.0):  # L0 > a_h + b_h + L1
+            assert k == n
+        return k
+
+    @given(saturating_premise_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_prefix_of_length_n_times_share_at_theta_star(self, case):
+        self.check(*case)
+
+    def test_frozen_count(self):
+        # theta* = (2 - 1) / (1 + 1.5) = 0.4 and F(0.4) = 0.76672 under Beta(2, 5).
+        assert reg_inc_beta(0.4, BetaShape(2, 5)) == pytest.approx(0.76672, abs=1e-12)
+        assert self.check(BetaShape(2, 5), 1000, Line(1.0, 1.5), Line(2.0, -1.0)) == 767

@@ -8,6 +8,7 @@ from those two routes before the implementation existed.
 """
 
 import math
+import re
 
 import pytest
 
@@ -174,17 +175,26 @@ class TestRegIncBeta:
                 BetaShape(p, q)
 
     def test_tested_shape_range(self):
-        # Both ends are inclusive.
+        # Both ends are inclusive; a shape just outside either end is refused by name.
         for p, q in [(1e-3, 1e3), (1e3, 1e-3), (2.0, 5.0)]:
-            assert BetaShape(p, q).tested
-        for p, q in [(math.nextafter(1e-3, 0.0), 2.0), (2.0, math.nextafter(1e3, math.inf))]:
-            assert not BetaShape(p, q).tested
+            shape = BetaShape(p, q)
+            assert (shape.p, shape.q) == (p, q)
+        below, above = math.nextafter(1e-3, 0.0), math.nextafter(1e3, math.inf)
+        for p, q, name, value in [(below, 2.0, "p", below), (2.0, above, "q", above)]:
+            message = (
+                f"{name} must lie in [0.001, 1000], the range of Beta shapes the CDF "
+                f"is tested on, got {value}"
+            )
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                BetaShape(p, q)
 
-    def test_huge_shape_fails_to_converge(self):
-        # Far outside the tested shape range the continued fraction runs out
-        # of iterations; this pins today's failure, not a wanted answer.
+    def test_huge_shape_is_refused(self):
+        # Far outside the tested range the continued fraction runs out of
+        # iterations; BetaShape refuses such a shape before any CDF call.
+        with pytest.raises(DomainError, match="^p must lie in"):
+            BetaShape(1e6, 1e6)
         with pytest.raises(ComputationError, match="did not converge"):
-            reg_inc_beta(0.5, BetaShape(1e6, 1e6))
+            workmix.numerics._beta_cf(1e6, 1e6, 0.5)
 
 
 class TestInverse:

@@ -13,6 +13,7 @@ from workmix import (
     DEFAULT_GRID,
     BetaShape,
     ContinuousParams,
+    DomainError,
     GridSpec,
     ParamError,
     automated_share,
@@ -278,20 +279,16 @@ class TestMedianBracket:
         assert_cells_match_scan(grid, cells)
         assert {cell.cross50_year is None for cell in cells} == {True, False}
 
-    def test_shape_outside_tested_range_is_scanned(self, monkeypatch):
+    def test_shape_outside_tested_range_is_refused(self):
         grid = GridSpec(
             p_values=(5e-4, 1.5),
-            q_values=(2000.0,),
-            gamma_values=(1e-4, 1e-3, 1e-2),
+            q_values=(2.0,),
+            gamma_values=(1e-2,),
             horizon_years=60,
             initial_share_target=0.10,
         )
-        inverses = count_calls(monkeypatch, workmix.sweep, "inv_reg_inc_beta")
-        cells = run_grid(grid)
-        monkeypatch.undo()
-        assert inverses[0] == 2  # the calibrations only: no bracket is made
-        assert_cells_match_scan(grid, cells)
-        assert all(cell.cross50_year is not None for cell in cells)
+        with pytest.raises(DomainError, match="^p must lie in .* got 0.0005$"):
+            run_grid(grid)
 
     @given(
         alpha_m=st.floats(-3.0, 6.0),

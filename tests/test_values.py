@@ -185,8 +185,6 @@ class TestBetaShape:
         shape = BetaShape(2.0, 5.0)
         assert repr(shape) == "BetaShape(p=2.0, q=5.0)"
         assert shape.log_beta == pytest.approx(-3.4011973816621555, abs=1e-14)
-        assert shape.tested is True
-        assert BetaShape(5e-4, 2.0).tested is False
 
     def test_derived_values_take_no_argument_and_cannot_be_assigned(self):
         with pytest.raises(TypeError):
@@ -194,14 +192,12 @@ class TestBetaShape:
         with pytest.raises(TypeError):
             BetaShape(2.0, 5.0, log_beta=1.0)
         shape = BetaShape(2.0, 5.0)
-        for name in ("log_beta", "tested"):
-            with pytest.raises(AttributeError):
-                setattr(shape, name, 0.0)
+        with pytest.raises(AttributeError):
+            shape.log_beta = 0.0
 
     def test_equality_ignores_derived_values(self):
         shape = BetaShape(2.0, 5.0)
         object.__setattr__(shape, "log_beta", 0.0)
-        object.__setattr__(shape, "tested", False)
         assert shape == BetaShape(2.0, 5.0)
         assert hash(shape) == hash(BetaShape(2.0, 5.0))
         assert BetaShape(2.0, 5.0) != BetaShape(5.0, 2.0)
