@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from ._calendar import START_YEAR
 from .errors import DomainError, ParamError
 
 __all__ = [
@@ -33,7 +34,7 @@ class _AggregateFields(NamedTuple):
     alpha: float
     beta: float
     x0: float
-    start_year: int = 2025
+    start_year: int
 
 
 class AggregateParams(_AggregateFields):
@@ -46,7 +47,7 @@ class AggregateParams(_AggregateFields):
 
     __slots__ = ()
 
-    def __new__(cls, alpha, beta, x0, start_year=2025):
+    def __new__(cls, alpha, beta, x0, start_year=START_YEAR):
         if not 0.0 <= alpha <= 1.0:
             raise ParamError(f"alpha must lie in [0, 1], got {alpha}")
         if not 0.0 <= beta <= 1.0:
@@ -139,4 +140,4 @@ def convergence_time(params: AggregateParams, tol: float) -> int:
 
 #: Default aggregate scenario: 10% adoption rate, 5% task creation, starting
 #: from a 10% automated share in 2025.
-DEFAULT_AGGREGATE = AggregateParams(alpha=0.10, beta=0.05, x0=0.10, start_year=2025)
+DEFAULT_AGGREGATE = AggregateParams(alpha=0.10, beta=0.05, x0=0.10)

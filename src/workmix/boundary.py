@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._calendar import START_YEAR
 from .errors import CalibrationError, DomainError, ParamError
 from .numerics import BetaShape, inv_reg_inc_beta, reg_inc_beta
 
@@ -44,7 +45,7 @@ class _ContinuousFields(NamedTuple):
     beta_m: float
     gamma: float
     shape: BetaShape
-    start_year: int = 2025
+    start_year: int
 
 
 class ContinuousParams(_ContinuousFields):
@@ -52,7 +53,7 @@ class ContinuousParams(_ContinuousFields):
 
     __slots__ = ()
 
-    def __new__(cls, alpha_h, beta_h, alpha_m, beta_m, gamma, shape, start_year=2025):
+    def __new__(cls, alpha_h, beta_h, alpha_m, beta_m, gamma, shape, start_year=START_YEAR):
         if not beta_h > 0:
             raise ParamError(f"beta_h must be positive, got {beta_h}")
         if not beta_m > 0:
@@ -166,7 +167,7 @@ def calibrate(
     beta_h: float,
     beta_m: float,
     shape: BetaShape,
-    start_year: int = 2025,
+    start_year: int = START_YEAR,
 ) -> ContinuousParams:
     """Solve for alpha_m and gamma hitting two target shares.
 
@@ -216,5 +217,4 @@ DEFAULT_BOUNDARY = ContinuousParams(
     beta_m=2.5,
     gamma=0.04336,
     shape=BetaShape(2.0, 5.0),
-    start_year=2025,
 )

@@ -37,6 +37,7 @@ from . import lattice as lat
 from . import replicator as rep
 from . import sweep as swp
 from . import svgplot
+from ._calendar import HORIZON_YEARS, START_YEAR
 from .errors import (
     ChartError,
     ComputationError,
@@ -249,14 +250,17 @@ _MAX_YEARS = 1000
 _MAX_TASKS = 10_000
 _MAX_SWEEP_CELLS = 10_000
 
-_START_YEAR = _Key("start_year", _as_int, 2025)
-_HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, 20, minimum=1, maximum=_MAX_YEARS))
+_START_YEAR = _Key("start_year", _as_int, START_YEAR)
+_HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, HORIZON_YEARS,
+                              minimum=1, maximum=_MAX_YEARS))
 _CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "human_payoff")
 
+# The Beta families default to the paper's calibrated boundary model on 1,000 tasks.
+_CALIBRATION = bnd.DEFAULT_BOUNDARY
 _LATTICE_SHAPE = (
     _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
-    *_keys(_as_shape, p=2.0, q=5.0),
-    *_keys(_as_number, alpha_h=1.0, beta_h=1.5),
+    *_keys(_as_shape, p=_CALIBRATION.shape.p, q=_CALIBRATION.shape.q),
+    *_keys(_as_number, alpha_h=_CALIBRATION.alpha_h, beta_h=_CALIBRATION.beta_h),
 )
 _LATTICE_CONTROLS = (
     _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
@@ -265,7 +269,8 @@ _LATTICE_CONTROLS = (
 _LATTICE_FAMILIES = {
     "linear": (
         *_LATTICE_SHAPE,
-        *_keys(_as_number, alpha_m=1.3704, beta_m=2.5, gamma=0.04336),
+        *_keys(_as_number, alpha_m=_CALIBRATION.alpha_m, beta_m=_CALIBRATION.beta_m,
+               gamma=_CALIBRATION.gamma),
         *_LATTICE_CONTROLS,
     ),
     "saturating": (
@@ -301,11 +306,14 @@ def _lattice_params(params: Any) -> dict:
     return {"family": family, **_check(rest, "lattice params", _LATTICE_FAMILIES[family])}
 
 
+# The quantities a sweep holds fixed default to the paper's grid.
+_GRID = swp.DEFAULT_GRID
 _SWEEP_KEYS = (
     *_keys(_as_shape_list, "p_values", "q_values"),
     _Key("gamma_values", _as_number_list),
-    _Key("horizon_years", _as_int, 20, maximum=_MAX_YEARS),
-    *_keys(_as_number, initial_share_target=0.10, alpha_h=1.0, beta_h=1.5, beta_m=2.5),
+    _Key("horizon_years", _as_int, HORIZON_YEARS, maximum=_MAX_YEARS),
+    *_keys(_as_number, initial_share_target=_GRID.initial_share_target,
+           alpha_h=_GRID.alpha_h, beta_h=_GRID.beta_h, beta_m=_GRID.beta_m),
     _START_YEAR,
 )
 
@@ -545,7 +553,7 @@ _SPECS = {
                 _Key("p", _as_shape, attr="shape.p"),
                 _Key("q", _as_shape, attr="shape.q"),
                 _START_YEAR,
-                _Key("horizon_years", _as_int, 20, minimum=0, maximum=_MAX_YEARS),
+                _Key("horizon_years", _as_int, HORIZON_YEARS, minimum=0, maximum=_MAX_YEARS),
             ),
             build=_with_horizon(
                 lambda p, q, **rest: bnd.ContinuousParams(shape=BetaShape(p, q), **rest)
@@ -606,16 +614,22 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     return ScenarioConfig(model=spec.name, params=_read(spec.builtin[1], spec.keys))
 
 
+# CSV decimal places run from 0 to this, from a config or from --precision.
+_MAX_PRECISION = 17
+
+
+def _check_precision(precision: int, label: str) -> None:
+    if not 0 <= precision <= _MAX_PRECISION:
+        raise ValidationError(f"{label} must lie in [0, {_MAX_PRECISION}], got {precision}")
+
+
 def _output_from_dict(block: dict) -> OutputSpec:
-    merged = _check(block, "output", _keys(_unchecked, format="csv", path=None, precision=6))
+    merged = _check(block, "output", _keys(_unchecked, **OutputSpec._field_defaults))
     fmt = merged["format"]
     if fmt not in ("csv", "svg"):
         raise ValidationError(f"output.format must be 'csv' or 'svg', got {fmt!r}")
     precision = _as_int(merged["precision"], "output.precision")
-    if not 0 <= precision <= 17:
-        raise ValidationError(
-            f"output.precision must lie in [0, 17], got {precision}"
-        )
+    _check_precision(precision, "output.precision")
     path = merged["path"]
     if path is not None and not isinstance(path, str):
         raise ValidationError(f"output.path must be a string, got {path!r}")
@@ -689,7 +703,7 @@ def run_config(config: ScenarioConfig) -> RunResult:
     return RunResult(model=config.model, data=data, config=config)
 
 
-def emit_csv(result: RunResult, precision: int = 6) -> str:
+def emit_csv(result: RunResult, precision: int = OutputSpec().precision) -> str:
     """Render a run as CSV with fixed-precision decimals.
 
     Headers are fixed per model; every row ends with a newline and carries
@@ -950,8 +964,9 @@ def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str 
     precision = (
         args.precision if args.precision is not None else config.output.precision
     )
-    if not 0 <= precision <= 17:
-        raise ValidationError(f"precision must lie in [0, 17], got {precision}")
+    _check_precision(precision, "precision")
+    if args.chart is not None and fmt != "svg":
+        raise ValidationError(f"--chart needs SVG output, got format {fmt!r}")
     path = args.out if args.out is not None else config.output.path
     result = run_config(config)
     if fmt == "csv":

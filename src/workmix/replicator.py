@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._calendar import START_YEAR
 from .errors import DomainError, ParamError, RangeError
 
 __all__ = [
@@ -57,13 +58,13 @@ class _ReplicatorFields(NamedTuple):
     complex: CategoryParams
     sensitivity: float
     w_routine: float
-    start_year: int = 2025
+    start_year: int
 
 
 class ReplicatorParams(_ReplicatorFields):
     __slots__ = ()
 
-    def __new__(cls, routine, complex, sensitivity, w_routine, start_year=2025):
+    def __new__(cls, routine, complex, sensitivity, w_routine, start_year=START_YEAR):
         if not sensitivity > 0:
             raise ParamError(f"sensitivity must be positive, got {sensitivity}")
         if not 0.0 <= w_routine <= 1.0:
@@ -145,5 +146,4 @@ DEFAULT_REPLICATOR = ReplicatorParams(
     ),
     sensitivity=0.2,
     w_routine=0.6,
-    start_year=2025,
 )

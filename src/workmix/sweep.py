@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .boundary import ContinuousParams, automated_share, automation_boundary
+from ._calendar import HORIZON_YEARS, START_YEAR
+from .boundary import DEFAULT_BOUNDARY, ContinuousParams, automated_share, automation_boundary
 from .errors import ParamError
 from .numerics import BetaShape, inv_reg_inc_beta, locate_quantile, reg_inc_beta
 
@@ -64,10 +65,10 @@ class _GridFields(NamedTuple):
     gamma_values: tuple[float, ...]
     horizon_years: int
     initial_share_target: float
-    alpha_h: float = 1.0
-    beta_h: float = 1.5
-    beta_m: float = 2.5
-    start_year: int = 2025
+    alpha_h: float
+    beta_h: float
+    beta_m: float
+    start_year: int
 
 
 class GridSpec(_GridFields):
@@ -76,7 +77,8 @@ class GridSpec(_GridFields):
     __slots__ = ()
 
     def __new__(cls, p_values, q_values, gamma_values, horizon_years, initial_share_target,
-                alpha_h=1.0, beta_h=1.5, beta_m=2.5, start_year=2025):
+                alpha_h=DEFAULT_BOUNDARY.alpha_h, beta_h=DEFAULT_BOUNDARY.beta_h,
+                beta_m=DEFAULT_BOUNDARY.beta_m, start_year=START_YEAR):
         _require_ascending("p_values", p_values)
         _require_ascending("q_values", q_values)
         _require_ascending("gamma_values", gamma_values)
@@ -194,6 +196,6 @@ DEFAULT_GRID = GridSpec(
     p_values=(1.5, 2.0, 2.5, 3.0, 3.5),
     q_values=(5,),
     gamma_values=(0.03, 0.04, 0.05, 0.06, 0.07),
-    horizon_years=20,
+    horizon_years=HORIZON_YEARS,
     initial_share_target=0.10,
 )

@@ -17,6 +17,7 @@ import workmix.cli
 import workmix.lattice
 import workmix.sweep
 from workmix import BetaShape, ChartError, DomainError, ParamError, ParseError, ValidationError
+from workmix.boundary import DEFAULT_BOUNDARY
 from workmix.cli import (
     OutputSpec,
     RunResult,
@@ -126,6 +127,10 @@ class TestLoadConfig:
     def test_lattice_families(self):
         linear = load_config('{"model": "lattice", "params": {"family": "linear"}}')
         assert linear.params["n_tasks"] == 1000
+        # The default linear lattice is the paper's boundary model on 1,000 tasks.
+        for name in ("alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"):
+            assert linear.params[name] == getattr(DEFAULT_BOUNDARY, name), name
+        assert BetaShape(linear.params["p"], linear.params["q"]) == DEFAULT_BOUNDARY.shape
         table = load_config(
             '{"model": "lattice", "params": {"family": "table",'
             ' "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],'
@@ -285,6 +290,32 @@ class TestSvgBytes:
             config = load_config(json.dumps({"model": "lattice", "params": scenario}))
         document = emit_svg(run_config(config), chart)
         assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+# Runs that take most of their params from the library's defaults.
+_CSV_DIGESTS = [
+    pytest.param({"model": "lattice", "params": {"family": "linear"}},
+                 "ac76d15bae4b3d0f3dd3203d451bd62a0ffc9889f9e2ecb9cf6f1f0fab93d89f",
+                 "60,994,0.994000\n", id="lattice-default"),
+    pytest.param({"model": "sweep",
+                  "params": {"p_values": [1.5, 2.0], "q_values": [5],
+                             "gamma_values": [0.03, 0.05]}},
+                 "d44b5d046ec93f13a2fb59db4f619a3904f220e2293c891c228714eae88bac6c",
+                 "2.0,5,0.05,1.370381,0.666873,2039\n", id="sweep-axes-only"),
+]
+
+
+class TestCsvBytes:
+    """Default-heavy configs print the same CSV bytes, pinned by SHA-256."""
+
+    @pytest.mark.parametrize("document,digest,last_row", _CSV_DIGESTS)
+    def test_digest(self, tmp_path, capsys, document, digest, last_row):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(last_row)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _ONE_YEAR_BOUNDARY = {
@@ -1193,6 +1224,21 @@ class TestMainBranches:
         assert captured.err == (
             "error: sweep heatmap needs exactly one q value; got 2 (filter the grid first)\n"
         )
+
+    @pytest.mark.parametrize("argv,output", [
+        (["scenario", "paper-aggregate", "--chart", "heatmap"], None),
+        (["run", "config.json", "--chart", "line"], {"format": "csv"}),
+        (["run", "config.json", "--format", "csv", "--chart", "line"], {"format": "svg"}),
+    ], ids=["scenario", "run-csv-config", "run-csv-flag"])
+    def test_chart_needs_svg_output(self, tmp_path, monkeypatch, capsys, argv, output):
+        monkeypatch.chdir(tmp_path)
+        config = {"model": "aggregate", "params": _AGG, "output": output}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main([*argv, "--out", "out.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --chart needs SVG output, got format 'csv'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_precision_flag_out_of_range(self, capsys):
         assert main(["scenario", "paper-aggregate", "--precision", "18"]) == 1
