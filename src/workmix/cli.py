@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+# Nothing below reads a model attribute at import: each model module runs on
+# its first read (see ``workmix/__init__.py``), so a command compiles only the
+# models it uses.
 from . import aggregate as agg
 from . import boundary as bnd
 from . import lattice as lat
+from . import numerics
 from . import replicator as rep
 from . import sweep as swp
 from . import svgplot
@@ -44,14 +47,6 @@ from .errors import (
     InputError,
     ParseError,
     ValidationError,
-)
-from .numerics import (
-    BetaShape,
-    bisect_root,
-    check_tested_shape,
-    inv_reg_inc_beta,
-    oracle_beta_cdf,
-    reg_inc_beta,
 )
 
 __all__ = [
@@ -162,7 +157,7 @@ def _as_shape(value: Any, label: str) -> float:
     """A Beta shape parameter, refused by name outside ``BetaShape``'s range."""
     value = _as_number(value, label)
     if value > 0:  # BetaShape and GridSpec refuse a value <= 0 in their own words
-        check_tested_shape(value, label)
+        numerics.check_tested_shape(value, label)
     return value
 
 
@@ -255,36 +250,38 @@ _HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, HORIZON_YEARS,
                               minimum=1, maximum=_MAX_YEARS))
 _CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "human_payoff")
 
-# The Beta families default to the paper's calibrated boundary model on 1,000 tasks.
-_CALIBRATION = bnd.DEFAULT_BOUNDARY
-_LATTICE_SHAPE = (
-    _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
-    *_keys(_as_shape, p=_CALIBRATION.shape.p, q=_CALIBRATION.shape.q),
-    *_keys(_as_number, alpha_h=_CALIBRATION.alpha_h, beta_h=_CALIBRATION.beta_h),
-)
-_LATTICE_CONTROLS = (
-    _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
-    _Key("stability_window", _as_int, 3, minimum=1),
-)
-_LATTICE_FAMILIES = {
-    "linear": (
-        *_LATTICE_SHAPE,
-        *_keys(_as_number, alpha_m=_CALIBRATION.alpha_m, beta_m=_CALIBRATION.beta_m,
-               gamma=_CALIBRATION.gamma),
-        *_LATTICE_CONTROLS,
-    ),
-    "saturating": (
-        *_keys(_as_number, "limit_intercept", "limit_slope"),
-        *_LATTICE_SHAPE,
-        *_LATTICE_CONTROLS,
-    ),
-    "table": (
-        _Key("thetas", _as_number_list, maximum=_MAX_TASKS),
-        _Key("human_values", _as_number_list, maximum=_MAX_TASKS),
-        _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
-        *_LATTICE_CONTROLS,
-    ),
-}
+@functools.cache
+def _lattice_families() -> dict[str, tuple[_Key, ...]]:
+    """Each lattice family's keys, built on first use.
+
+    The Beta families default to the paper's calibrated boundary model on
+    1,000 tasks, and every family to the lattice's own stop rule.
+    """
+    calibration = bnd.DEFAULT_BOUNDARY
+    shape = (
+        _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
+        *_keys(_as_shape, p=calibration.shape.p, q=calibration.shape.q),
+        *_keys(_as_number, alpha_h=calibration.alpha_h, beta_h=calibration.beta_h),
+    )
+    controls = (
+        _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
+        _Key("stability_window", _as_int, lat.DEFAULT_STABILITY_WINDOW, minimum=1),
+    )
+    return {
+        "linear": (
+            *shape,
+            *_keys(_as_number, alpha_m=calibration.alpha_m, beta_m=calibration.beta_m,
+                   gamma=calibration.gamma),
+            *controls,
+        ),
+        "saturating": (*_keys(_as_number, "limit_intercept", "limit_slope"), *shape, *controls),
+        "table": (
+            _Key("thetas", _as_number_list, maximum=_MAX_TASKS),
+            _Key("human_values", _as_number_list, maximum=_MAX_TASKS),
+            _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
+            *controls,
+        ),
+    }
 
 
 def _lattice_params(params: Any) -> dict:
@@ -297,30 +294,35 @@ def _lattice_params(params: Any) -> dict:
     if not isinstance(params, dict):
         raise ValidationError("lattice params must be an object")
     family = params.get("family")
-    if not isinstance(family, str) or family not in _LATTICE_FAMILIES:
+    if not isinstance(family, str) or family not in _lattice_families():
         raise ValidationError(
             "lattice params require family 'linear', 'saturating', or 'table', "
             f"got {family!r}"
         )
     rest = {key: value for key, value in params.items() if key != "family"}
-    return {"family": family, **_check(rest, "lattice params", _LATTICE_FAMILIES[family])}
+    return {"family": family, **_check(rest, "lattice params", _lattice_families()[family])}
 
 
-# The quantities a sweep holds fixed default to the paper's grid.
-_GRID = swp.DEFAULT_GRID
-_SWEEP_KEYS = (
-    *_keys(_as_shape_list, "p_values", "q_values"),
-    _Key("gamma_values", _as_number_list),
-    _Key("horizon_years", _as_int, HORIZON_YEARS, maximum=_MAX_YEARS),
-    *_keys(_as_number, initial_share_target=_GRID.initial_share_target,
-           alpha_h=_GRID.alpha_h, beta_h=_GRID.beta_h, beta_m=_GRID.beta_m),
-    _START_YEAR,
-)
+@functools.cache
+def _sweep_keys() -> tuple[_Key, ...]:
+    """The sweep's keys, built on first use.
+
+    The quantities a sweep holds fixed default to the paper's grid.
+    """
+    grid = swp.DEFAULT_GRID
+    return (
+        *_keys(_as_shape_list, "p_values", "q_values"),
+        _Key("gamma_values", _as_number_list),
+        _Key("horizon_years", _as_int, HORIZON_YEARS, maximum=_MAX_YEARS),
+        *_keys(_as_number, initial_share_target=grid.initial_share_target,
+               alpha_h=grid.alpha_h, beta_h=grid.beta_h, beta_m=grid.beta_m),
+        _START_YEAR,
+    )
 
 
 def _sweep_params(params: Any) -> dict:
     """Check a sweep block, then cap its number of cells."""
-    checked = _check(params, "sweep params", _SWEEP_KEYS)
+    checked = _check(params, "sweep params", _sweep_keys())
     cells = len(checked["p_values"]) * len(checked["q_values"]) * len(checked["gamma_values"])
     if cells > _MAX_SWEEP_CELLS:
         raise ValidationError(
@@ -378,7 +380,7 @@ class LatticeRun(NamedTuple):
         p = self.params
         if p["family"] == "table":
             return lat.table_universe(p["thetas"], p["human_values"], p["machine_rows"])
-        thetas = lat.beta_quantile_thetas(p["n_tasks"], BetaShape(p["p"], p["q"]))
+        thetas = lat.beta_quantile_thetas(p["n_tasks"], numerics.BetaShape(p["p"], p["q"]))
         if p["family"] == "linear":
             return lat.linear_universe(
                 thetas, p["alpha_h"], p["beta_h"], p["alpha_m"], p["beta_m"], p["gamma"]
@@ -488,49 +490,53 @@ def _sweep_heatmap(result: RunResult) -> str:
 class _ModelSpec(NamedTuple):
     """Everything the CLI knows about one model.
 
-    ``keys`` is the params schema (``check`` replaces it where the schema
-    depends on a value, as the lattice's does on its family).  ``build``
+    ``keys`` returns the params schema, built when first asked for, so that
+    defaults read from a model's ``DEFAULT_*`` object run that model only
+    when it is used (``check`` replaces it where the schema depends on a
+    value, as the lattice's does on its family).  ``build``
     turns canonical params into what ``run`` takes; ``load_config`` calls it
     too, so a typed constructor's error surfaces at load time.  ``rows``
     renders the run's data under ``header``.  ``charts`` maps each chart
     kind the model allows to its renderer, the default first.  ``builtin``
-    names a scenario and the ``DEFAULT_*`` object its params are read from.
+    names a scenario and returns the ``DEFAULT_*`` object its params are
+    read from.
     """
 
     name: str
-    keys: tuple[_Key, ...]
+    keys: Callable[[], tuple[_Key, ...]]
     build: Callable[[dict], Any]
     run: Callable[[Any], Any]
     header: str
     rows: Callable[[Any, Callable[[float], str]], Iterable[str]]
     charts: dict[str, Callable[[RunResult], str]]
-    builtin: tuple[str, Any] | None = None
+    builtin: tuple[str, Callable[[], Any]] | None = None
     check: Callable[[Any], dict] | None = None
 
     def canonical(self, params: Any) -> dict:
         if self.check is not None:
             return self.check(params)
-        return _check(params, f"{self.name} params", self.keys)
+        return _check(params, f"{self.name} params", self.keys())
 
 
-# The run lambdas look each model function up when called, so a function
-# replaced on its module (by a test or a tracer) is the one that runs.
+# The lambdas look each model attribute up when called, so a function
+# replaced on its module (by a test or a tracer) is the one that runs, and a
+# model's module runs only when a command first uses it.
 _SPECS = {
     spec.name: spec
     for spec in (
         _ModelSpec(
             name="aggregate",
-            keys=(*_keys(_as_number, "alpha", "beta", "x0"), *_HORIZON),
-            build=_with_horizon(agg.AggregateParams),
+            keys=lambda: (*_keys(_as_number, "alpha", "beta", "x0"), *_HORIZON),
+            build=_with_horizon(lambda **params: agg.AggregateParams(**params)),
             run=lambda built: agg.simulate(*built),
             header="year,share",
             rows=lambda data, num: (f"{p.year},{num(p.share)}" for p in data),
             charts={"line": _share_line},
-            builtin=("paper-aggregate", agg.DEFAULT_AGGREGATE),
+            builtin=("paper-aggregate", lambda: agg.DEFAULT_AGGREGATE),
         ),
         _ModelSpec(
             name="replicator",
-            keys=(
+            keys=lambda: (
                 _Key("routine", _CATEGORY),
                 _Key("complex", _CATEGORY),
                 *_keys(_as_number, "sensitivity", "w_routine"),
@@ -544,11 +550,11 @@ _SPECS = {
                 for p in data
             ),
             charts={"multi-line": _replicator_lines},
-            builtin=("paper-replicator", rep.DEFAULT_REPLICATOR),
+            builtin=("paper-replicator", lambda: rep.DEFAULT_REPLICATOR),
         ),
         _ModelSpec(
             name="boundary",
-            keys=(
+            keys=lambda: (
                 *_keys(_as_number, "alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"),
                 _Key("p", _as_shape, attr="shape.p"),
                 _Key("q", _as_shape, attr="shape.q"),
@@ -556,7 +562,7 @@ _SPECS = {
                 _Key("horizon_years", _as_int, HORIZON_YEARS, minimum=0, maximum=_MAX_YEARS),
             ),
             build=_with_horizon(
-                lambda p, q, **rest: bnd.ContinuousParams(shape=BetaShape(p, q), **rest)
+                lambda p, q, **rest: bnd.ContinuousParams(shape=numerics.BetaShape(p, q), **rest)
             ),
             run=lambda built: bnd.simulate_boundary(*built),
             header="year,theta,share",
@@ -564,11 +570,11 @@ _SPECS = {
                 f"{p.year},{num(p.theta)},{num(p.share)}" for p in data
             ),
             charts={"line": _share_line, "heatmap": _boundary_heatmap},
-            builtin=("paper-boundary", bnd.DEFAULT_BOUNDARY),
+            builtin=("paper-boundary", lambda: bnd.DEFAULT_BOUNDARY),
         ),
         _ModelSpec(
             name="lattice",
-            keys=(),
+            keys=lambda: (),
             build=LatticeRun,
             run=_run_lattice,
             header="t,automated_count,share",
@@ -578,7 +584,7 @@ _SPECS = {
         ),
         _ModelSpec(
             name="sweep",
-            keys=_SWEEP_KEYS,
+            keys=_sweep_keys,
             build=lambda params: swp.GridSpec(
                 **{key: tuple(v) if isinstance(v, list) else v for key, v in params.items()}
             ),
@@ -586,7 +592,7 @@ _SPECS = {
             header="p,q,gamma,alpha_M,final_share,cross50_year",
             rows=_sweep_rows,
             charts={"heatmap": _sweep_heatmap},
-            builtin=("paper-grid", swp.DEFAULT_GRID),
+            builtin=("paper-grid", lambda: swp.DEFAULT_GRID),
             check=_sweep_params,
         ),
     )
@@ -611,7 +617,7 @@ def builtin_scenario(name: str) -> ScenarioConfig:
         known = ", ".join(_BUILTINS)
         raise ValidationError(f"unknown scenario {name!r} (builtins: {known})")
     spec = _BUILTINS[name]
-    return ScenarioConfig(model=spec.name, params=_read(spec.builtin[1], spec.keys))
+    return ScenarioConfig(model=spec.name, params=_read(spec.builtin[1](), spec.keys()))
 
 
 # CSV decimal places run from 0 to this, from a config or from --precision.
@@ -646,6 +652,8 @@ def load_config(text: str) -> ScenarioConfig:
     ``output`` block selects format, path, and precision.  Unknown keys
     anywhere are hard errors.
     """
+    import json  # here, not at the top: builtins and verify never parse or print JSON
+
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -742,112 +750,9 @@ def emit_svg(result: RunResult, chart: str) -> str:
 # Golden verification
 # ---------------------------------------------------------------------------
 
-def _golden_checks() -> list[tuple[str, Callable[[], Any], Any, float | None]]:
-    """Rows ``(name, compute, want, tol)``; each compute looks its functions up when run."""
-    shape25 = BetaShape(2.0, 5.0)
-    agg_defaults = agg.DEFAULT_AGGREGATE
-    rep_defaults = rep.DEFAULT_REPLICATOR
-    bnd_defaults = bnd.DEFAULT_BOUNDARY
-
-    def boundary_sim(index: int, attr: str) -> float:
-        return getattr(bnd.simulate_boundary(bnd_defaults, 20)[index], attr)
-
-    def replicator_sim(index: int, attr: str) -> float:
-        return getattr(rep.simulate_replicator(rep_defaults, 20)[index], attr)
-
-    def calibrated() -> bnd.ContinuousParams:
-        return bnd.calibrate(0.10, 0.599906, 20, 1.0, 1.5, 2.5, shape25)
-
-    # One default grid per verify, computed by the first sweep check.  Its one
-    # q value makes (p, gamma) a key.
-    grid_shares = functools.cache(lambda: {
-        (cell.p, cell.gamma): cell.final_share for cell in swp.run_grid(swp.DEFAULT_GRID)
-    })
-
-    def scenario_csv(name: str, precision: int) -> str:
-        return emit_csv(run_config(builtin_scenario(name)), precision)
-
-    return [
-        ("beta cdf at x=0.0926, shape (2,5)",
-         lambda: reg_inc_beta(0.0926, shape25), 0.100009, 1e-5),
-        ("beta cdf at x=0.3094, shape (2,5)",
-         lambda: reg_inc_beta(0.3094, shape25), 0.599906, 1e-5),
-        ("inverse beta cdf at 0.10, shape (2,5)",
-         lambda: inv_reg_inc_beta(0.10, shape25), 0.0926, 5e-4),
-        ("simpson oracle at x=0.0926, shape (2,5)",
-         lambda: oracle_beta_cdf(0.0926, shape25, 10000), 0.100009, 1e-6),
-        ("bisection root of cdf - 0.10",
-         lambda: bisect_root(lambda x: reg_inc_beta(x, shape25) - 0.10, 0.0, 1.0, 1e-12),
-         0.0926, 5e-4),
-        ("aggregate one step from 0.10", lambda: agg.step(0.10, agg_defaults), 0.185, 1e-9),
-        ("aggregate one step from 0.185",
-         lambda: agg.step(0.185, agg_defaults), 0.25725, 1e-9),
-        ("aggregate equilibrium", lambda: agg.equilibrium(agg_defaults), 0.6667, 5e-5),
-        ("aggregate closed form t=10",
-         lambda: agg.closed_form(10, agg_defaults), 0.5551045, 1e-6),
-        ("aggregate closed form t=20",
-         lambda: agg.closed_form(20, agg_defaults), 0.6447029, 1e-6),
-        ("aggregate simulated share 2030",
-         lambda: agg.simulate(agg_defaults, 20)[5].share, 0.41523, 5e-5),
-        ("aggregate simulated share 2040",
-         lambda: agg.simulate(agg_defaults, 20)[15].share, 0.61717, 5e-5),
-        ("replicator routine step from 0.30",
-         lambda: rep.replicator_step(0.30, 0, rep_defaults.routine, 0.2), 0.3084, 1e-9),
-        ("replicator complex step from 0.05",
-         lambda: rep.replicator_step(0.05, 0, rep_defaults.complex, 0.2), 0.04335, 1e-9),
-        ("replicator routine share 2045",
-         lambda: replicator_sim(20, "x_routine"), 0.873048, 1e-5),
-        ("replicator complex share 2045",
-         lambda: replicator_sim(20, "x_complex"), 0.006080, 1e-5),
-        ("replicator total share 2045",
-         lambda: replicator_sim(20, "x_total"), 0.526261, 1e-5),
-        ("replicator routine share 2035",
-         lambda: replicator_sim(10, "x_routine"), 0.498857, 1e-5),
-        ("replicator total share 2035",
-         lambda: replicator_sim(10, "x_total"), 0.304990, 1e-5),
-        ("machine payoff at theta=0, t=0",
-         lambda: bnd.payoff_machine(0.0, 0, bnd_defaults), 1.3704, 1e-9),
-        ("payoff advantage at theta=0, t=0",
-         lambda: bnd.payoff_machine(0.0, 0, bnd_defaults)
-         - bnd.payoff_human(0.0, bnd_defaults),
-         0.3704, 1e-4),
-        ("payoff advantage at theta=1, t=0",
-         lambda: bnd.payoff_machine(1.0, 0, bnd_defaults)
-         - bnd.payoff_human(1.0, bnd_defaults),
-         -3.6296, 1e-4),
-        ("automation boundary t=0",
-         lambda: bnd.automation_boundary(0, bnd_defaults), 0.0926, 5e-4),
-        ("automation boundary t=10",
-         lambda: bnd.automation_boundary(10, bnd_defaults), 0.2010, 5e-4),
-        ("automation boundary t=20",
-         lambda: bnd.automation_boundary(20, bnd_defaults), 0.3094, 5e-4),
-        ("automated share t=0", lambda: bnd.automated_share(0, bnd_defaults), 0.100009, 1e-5),
-        ("automated share t=20",
-         lambda: bnd.automated_share(20, bnd_defaults), 0.599906, 1e-5),
-        ("boundary trajectory theta 2030", lambda: boundary_sim(5, "theta"), 0.1468, 5e-4),
-        ("boundary trajectory share 2030", lambda: boundary_sim(5, "share"), 0.216, 5e-4),
-        ("boundary trajectory theta 2040", lambda: boundary_sim(15, "theta"), 0.2552, 5e-4),
-        ("boundary trajectory share 2040", lambda: boundary_sim(15, "share"), 0.478, 5e-4),
-        ("calibrated machine intercept", lambda: calibrated().alpha_m, 1.3704, 5e-4),
-        ("calibrated improvement rate", lambda: calibrated().gamma, 0.04336, 5e-5),
-        ("advantage grid entry (2025, theta=0.10)",
-         lambda: bnd.advantage_grid(bnd_defaults, [2025, 2045], [0.0, 0.10, 0.30])[0][1],
-         -0.0296, 1e-4),
-        ("advantage grid entry (2045, theta=0.30)",
-         lambda: bnd.advantage_grid(bnd_defaults, [2025, 2045], [0.0, 0.10, 0.30])[1][2],
-         0.0376, 1e-4),
-        ("sweep cell p=2.0 gamma=0.05", lambda: grid_shares()[2.0, 0.05], 0.667, 0.0015),
-        ("sweep cell p=3.0 gamma=0.03", lambda: grid_shares()[3.0, 0.03], 0.398, 0.0015),
-        ("sweep cell p=1.5 gamma=0.07", lambda: grid_shares()[1.5, 0.07], 0.856, 0.0015),
-        ("half-automation year, default boundary",
-         lambda: swp.cross50(bnd_defaults, 20), 2041, None),
-        ("aggregate csv row 2026 at precision 4",
-         lambda: scenario_csv("paper-aggregate", 4), "2026,0.1850", None),
-        ("aggregate csv row 2030 at precision 4",
-         lambda: scenario_csv("paper-aggregate", 4), "2030,0.4152", None),
-        ("sweep csv axis row p=2.0 gamma=0.05",
-         lambda: scenario_csv("paper-grid", 4), "2.0,5,0.05", None),
-    ]
+def _scenario_csv(name: str, precision: int) -> str:
+    """A builtin scenario's CSV, as the golden table's CSV rows compute it."""
+    return emit_csv(run_config(builtin_scenario(name)), precision)
 
 
 def verify_goldens() -> tuple[str, bool]:
@@ -856,9 +761,11 @@ def verify_goldens() -> tuple[str, bool]:
     A float ``want`` passes within ``tol``, a string ``want`` must occur in
     the computed text, and any other ``want`` must equal the computed value.
     """
+    from ._goldens import golden_checks  # here: no other command compiles the table
+
     lines = []
     passed = 0
-    checks = _golden_checks()
+    checks = golden_checks(_scenario_csv)
     for name, compute, want, tol in checks:
         try:
             got = compute()
@@ -961,6 +868,8 @@ def _write_output(document: str, path: str | None) -> None:
 
 def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str | None]:
     fmt = args.format or config.output.format
+    if args.precision is not None and fmt != "csv":
+        raise ValidationError(f"--precision needs CSV output, got format {fmt!r}")
     precision = (
         args.precision if args.precision is not None else config.output.precision
     )
@@ -1000,6 +909,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _write_output(document, path)
         elif args.command == "list-scenarios":
             if args.expand:
+                import json
+
                 configs = {name: builtin_scenario(name) for name in _BUILTINS}
                 expanded = {
                     name: {"model": config.model, "params": config.params}

@@ -169,8 +169,12 @@ def fixed_point_oracle(universe: TaskUniverse) -> Allocation:
     return Allocation(_machine_wins(universe, universe.limit))
 
 
+# Years the allocation must stay unchanged before ``run_delegation`` stops.
+DEFAULT_STABILITY_WINDOW = 3
+
+
 def run_delegation(
-    universe: TaskUniverse, max_years: int, stability_window: int = 3
+    universe: TaskUniverse, max_years: int, stability_window: int = DEFAULT_STABILITY_WINDOW
 ) -> DelegationTrace:
     """Iterate the delegation map from an empty allocation.
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import workmix.aggregate
 import workmix.cli
 import workmix.lattice
+import workmix.numerics
 import workmix.sweep
+from workmix._goldens import golden_checks
 from workmix import BetaShape, ChartError, DomainError, ParamError, ParseError, ValidationError
 from workmix.boundary import DEFAULT_BOUNDARY
 from workmix.cli import (
@@ -131,6 +133,10 @@ class TestLoadConfig:
         for name in ("alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"):
             assert linear.params[name] == getattr(DEFAULT_BOUNDARY, name), name
         assert BetaShape(linear.params["p"], linear.params["q"]) == DEFAULT_BOUNDARY.shape
+        # Every family's stop rule defaults to the lattice's own window.
+        window = workmix.lattice.DEFAULT_STABILITY_WINDOW
+        assert workmix.lattice.run_delegation.__defaults__ == (window,)
+        assert linear.params["stability_window"] == window
         table = load_config(
             '{"model": "lattice", "params": {"family": "table",'
             ' "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],'
@@ -420,7 +426,7 @@ class TestVerifyReport:
             "FAIL sweep csv axis row p=2.0 gamma=0.05        expected substring '2.0,5,0.05'",
             "39/42 golden checks passed",
         ], id="substring"),
-        pytest.param(workmix.cli, "oracle_beta_cdf", _raise_computation_error, [
+        pytest.param(workmix.numerics, "oracle_beta_cdf", _raise_computation_error, [
             "FAIL simpson oracle at x=0.0926, shape (2,5)    "
             "raised ComputationError: oracle failed",
             "41/42 golden checks passed",
@@ -437,13 +443,13 @@ class TestGoldenTable:
     """The golden table, the report's count and the README agree."""
 
     def test_names_are_unique(self):
-        names = [name for name, _, _, _ in workmix.cli._golden_checks()]
+        names = [name for name, _, _, _ in golden_checks(workmix.cli._scenario_csv)]
         assert len(names) == len(set(names))
 
     def test_every_row_is_one_kind(self):
         # A float want needs a positive tolerance; a string (substring) or any
         # other (exact) want takes none.
-        for name, compute, want, tol in workmix.cli._golden_checks():
+        for name, compute, want, tol in golden_checks(workmix.cli._scenario_csv):
             assert callable(compute), name
             if isinstance(want, float):
                 assert isinstance(tol, float) and tol > 0, name
@@ -455,7 +461,7 @@ class TestGoldenTable:
         readme = path.read_text(encoding="utf-8")
         counts = re.findall(r"(\d+)(?: built-in)? golden (?:checks|values)", readme)
         assert len(counts) >= 3
-        rows = len(workmix.cli._golden_checks())
+        rows = len(golden_checks(workmix.cli._scenario_csv))
         assert {int(count) for count in counts} == {rows}
         assert verify_goldens()[0].endswith(f"{rows}/{rows} golden checks passed\n")
 
@@ -1229,15 +1235,23 @@ class TestMainBranches:
         (["scenario", "paper-aggregate", "--chart", "heatmap"], None),
         (["run", "config.json", "--chart", "line"], {"format": "csv"}),
         (["run", "config.json", "--format", "csv", "--chart", "line"], {"format": "svg"}),
-    ], ids=["scenario", "run-csv-config", "run-csv-flag"])
+        (["scenario", "paper-aggregate", "--format", "svg", "--precision", "3"], None),
+        (["scenario", "paper-aggregate", "--format", "svg", "--precision", "18"], None),
+        (["run", "config.json", "--precision", "3"], {"format": "svg"}),
+    ], ids=["scenario", "run-csv-config", "run-csv-flag",
+            "precision-svg-flag", "precision-svg-flag-out-of-range", "precision-svg-config"])
     def test_chart_needs_svg_output(self, tmp_path, monkeypatch, capsys, argv, output):
+        # And its mirror: --precision needs CSV output.
         monkeypatch.chdir(tmp_path)
         config = {"model": "aggregate", "params": _AGG, "output": output}
         (tmp_path / "config.json").write_text(json.dumps(config))
         assert main([*argv, "--out", "out.csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --chart needs SVG output, got format 'csv'\n"
+        if "--chart" in argv:
+            assert captured.err == "error: --chart needs SVG output, got format 'csv'\n"
+        else:
+            assert captured.err == "error: --precision needs CSV output, got format 'svg'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_precision_flag_out_of_range(self, capsys):

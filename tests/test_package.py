@@ -1,8 +1,13 @@
-"""The package's public names, built from the modules' own, and the traced names."""
+"""Public names from the modules' own; what each process runs; the traced names."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import workmix
 from workmix import (
@@ -25,6 +30,58 @@ def test_public_names_come_once_from_the_modules():
     assert set(names) == {"__version__"} | module_names
     for name in names:
         assert hasattr(workmix, name), name
+    submodules = {module.__name__.split(".")[1] for module in MODULES}
+    assert {"__all__", *names, *submodules} <= set(dir(workmix))
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from workmix import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(workmix.__all__)
+    assert namespace["reg_inc_beta"] is numerics.reg_inc_beta
+
+
+def _fresh(code: str) -> list[str]:
+    """What ``code`` prints, run in a fresh interpreter on this checkout's sources."""
+    src = str(Path(workmix.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+# Prints the workmix modules that have run.  A registered module that has not
+# run is still a lazy module; reading any attribute of it would run it.
+_PRINT_EXECUTED = (
+    "import sys, types\n"
+    "print(*sorted(name for name, module in sys.modules.items()\n"
+    "              if name.split('.')[0] == 'workmix' and type(module) is types.ModuleType))\n"
+)
+
+
+def test_import_runs_only_errors():
+    assert _fresh("import workmix\n" + _PRINT_EXECUTED) == ["workmix", "workmix.errors"]
+
+
+@pytest.mark.parametrize("argv,models", [
+    (["scenario", "paper-aggregate"], ["aggregate"]),
+    (["scenario", "paper-boundary"], ["_frozen", "boundary", "numerics"]),
+    (["verify"], ["_frozen", "_goldens", "aggregate", "boundary", "numerics", "replicator",
+                  "sweep"]),
+    (["list-scenarios", "--expand"], ["_frozen", "aggregate", "boundary", "numerics",
+                                      "replicator", "sweep"]),
+], ids=["paper-aggregate", "paper-boundary", "verify", "list-scenarios-expand"])
+def test_a_command_runs_only_the_modules_it_uses(argv, models):
+    code = (
+        "import contextlib, io\n"
+        "from workmix.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    ) + _PRINT_EXECUTED
+    every_command = ["workmix", "workmix._calendar", "workmix.cli", "workmix.errors"]
+    assert _fresh(code) == sorted(every_command + [f"workmix.{name}" for name in models])
 
 
 def _tracing_tables() -> dict:
@@ -37,6 +94,14 @@ def _tracing_tables() -> dict:
             if name in ("TRACED", "TRACED_METHODS"):
                 tables[name] = ast.literal_eval(node.value)
     return tables
+
+
+def test_cli_import_registers_every_traced_module():
+    # The benchmark's tracer reads each traced module from sys.modules when it
+    # installs, before anything has run it.
+    traced = sorted({module_name for module_name, _ in _tracing_tables()["TRACED"]})
+    code = f"import sys, workmix.cli\nprint(*[n for n in {traced!r} if n not in sys.modules])"
+    assert _fresh(code) == []
 
 
 def test_every_traced_name_resolves():
