@@ -1,29 +1,18 @@
 """Command-line front end: JSON scenario configs, CSV/SVG emission, goldens.
 
-Subcommands:
-
-* ``run <config.json>``: execute a scenario described by a JSON document.
-* ``scenario <name>``: execute one of the builtin scenarios by name.
-* ``list-scenarios``: print the builtin names; ``--expand`` prints each one
-  as a full JSON config that reloads to an identical configuration.
-* ``verify``: recompute the embedded golden values and print one ``ok`` or
-  ``FAIL`` line per check, then ``N/42 golden checks passed``; any failure
-  exits 2.
-
-Exit codes: 0 success, 1 configuration/validation problem, 2 runtime
-failure.  Data goes to stdout or ``--out``; diagnostics go to stderr.  All
-output is deterministic: identical inputs produce identical bytes.
+The commands, their arguments and their help lines are one table,
+``_COMMANDS``, against which ``workmix._argv`` reads argv.  Exit codes: 0
+success, 1 configuration/validation problem, 2 runtime failure.  Data goes to
+stdout or ``--out``; diagnostics go to stderr.  All output is deterministic:
+identical inputs produce identical bytes.
 
 Everything the CLI knows about a model (its params schema, how to build and
 run it, its CSV rows, its charts and its builtin scenario) lives in one
-``_ModelSpec``; the functions below look the spec up by model name.  The
-golden checks are one table of ``(name, compute, want, tol)`` rows, and
-``verify_goldens`` alone compares a row's computed value with its ``want``.
+``_ModelSpec``; the functions below look the spec up by model name.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -792,49 +781,20 @@ def verify_goldens() -> tuple[str, bool]:
 # Entry point
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        raise ValidationError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="workmix", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=["csv", "svg"], help="output format")
-        p.add_argument(
-            "--precision", type=int, help="decimal places for CSV numbers"
-        )
-        p.add_argument(
-            "--chart",
-            choices=list(_CHARTS),
-            help="chart kind for SVG output",
-        )
-
-    run_p = sub.add_parser("run", help="run a scenario from a JSON config file")
-    run_p.add_argument("config_path")
-    add_output_flags(run_p)
-
-    scen_p = sub.add_parser("scenario", help="run a builtin scenario by name")
-    scen_p.add_argument("name")
-    add_output_flags(scen_p)
-
-    list_p = sub.add_parser("list-scenarios", help="list builtin scenario names")
-    list_p.add_argument(
-        "--expand",
-        action="store_true",
-        help="print each scenario as a full JSON config",
-    )
-    list_p.add_argument("--out", help="write output to this path instead of stdout")
-
-    verify_p = sub.add_parser(
-        "verify", help="recompute embedded golden values and report pass/fail"
-    )
-    verify_p.add_argument("--out", help="write output to this path instead of stdout")
-
-    return parser
+# The command table (see ``workmix._argv``): each command's positional argument
+# (or None), its help line and its flags.  A flag takes a str, an int or one
+# of a tuple of values, or is a switch (bool).
+_OUT = {"--out": (str, "write output to this path instead of stdout")}
+_OUTPUT_FLAGS = {**_OUT, "--format": (("csv", "svg"), "output format"),
+                 "--precision": (int, "decimal places for CSV numbers"),
+                 "--chart": (_CHARTS, "chart kind for SVG output")}
+_COMMANDS = {
+    "run": ("config_path", "run a scenario from a JSON config file", _OUTPUT_FLAGS),
+    "scenario": ("name", "run a builtin scenario by name", _OUTPUT_FLAGS),
+    "list-scenarios": (None, "list builtin scenario names",
+                       {"--expand": (bool, "print each scenario as a full JSON config"), **_OUT}),
+    "verify": (None, "recompute embedded golden values and report pass/fail", _OUT),
+}
 
 
 def _write_output(document: str, path: str | None) -> None:
@@ -866,7 +826,7 @@ def _write_output(document: str, path: str | None) -> None:
         raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str | None]:
+def _render(config: ScenarioConfig, args: Any) -> tuple[str, str | None]:
     fmt = args.format or config.output.format
     if args.precision is not None and fmt != "csv":
         raise ValidationError(f"--precision needs CSV output, got format {fmt!r}")
@@ -886,8 +846,12 @@ def _render(config: ScenarioConfig, args: argparse.Namespace) -> tuple[str, str 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from ._argv import read_argv  # here: a bare `import workmix.cli` reads no argv
+
     try:
-        args = _build_parser().parse_args(list(argv) if argv is not None else None)
+        args = read_argv(sys.argv[1:] if argv is None else list(argv), _COMMANDS)
+        if args is None:  # --help was printed
+            return 0
         if args.out == "":
             raise ValidationError("--out must not be empty")
         if args.command in ("run", "scenario"):
@@ -926,8 +890,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if not all_passed:
                 print("error: golden checks failed", file=sys.stderr)
                 return 2
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1264,6 +1264,23 @@ class TestMainBranches:
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: workmix")
 
+    def test_help_lists_the_command_table(self, capsys):
+        # One line per command, and per flag of each command, and no prose
+        # written for the module's readers.
+        assert main(["--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for command, (_, about, flags) in workmix.cli._COMMANDS.items():
+            assert [line for line in lines
+                    if line.split()[:1] == [command] and line.endswith(about)], command
+            assert main([command, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: workmix {command}")
+            for flag, (_, text) in flags.items():
+                assert [line for line in out.splitlines()
+                        if line.split()[:1] == [flag] and line.endswith(text)], (command, flag)
+            assert "  -h, --help" in out
+        assert not [line for line in lines if "``" in line or "_ModelSpec" in line]
+
     def test_failed_golden_check_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(workmix.aggregate, "closed_form", lambda t, params: 0.0)
         assert main(["verify"]) == 2
@@ -1271,3 +1288,142 @@ class TestMainBranches:
         assert "FAIL aggregate closed form t=10" in captured.out
         assert captured.out.endswith("40/42 golden checks passed\n")
         assert captured.err == "error: golden checks failed\n"
+
+
+_COMMAND_CHOICES = "(choose from 'run', 'scenario', 'list-scenarios', 'verify')"
+_BIG_PRECISION = "9" * 5000
+
+# argv the CLI refuses, each with its one stderr line and exit 1.  The lines
+# are argparse's, so the reader that replaced it says the same.
+_REFUSED_ARGV = [
+    pytest.param([], "the following arguments are required: command", id="no-command"),
+    pytest.param(["--bogus"], "the following arguments are required: command",
+                 id="no-command-after-option"),
+    pytest.param(["scenario"], "the following arguments are required: name", id="no-name"),
+    pytest.param(["run"], "the following arguments are required: config_path",
+                 id="no-config-path"),
+    pytest.param(["frobnicate"], f"argument command: invalid choice: 'frobnicate' "
+                 f"{_COMMAND_CHOICES}", id="bad-command"),
+    pytest.param(["frobnicate", "--help"], f"argument command: invalid choice: 'frobnicate' "
+                 f"{_COMMAND_CHOICES}", id="bad-command-then-help"),
+    pytest.param(["--", "scenario", "paper-aggregate"], f"argument command: invalid choice: "
+                 f"'--' {_COMMAND_CHOICES}", id="dashes-as-command"),
+    pytest.param(["scenario", "paper-aggregate", "--format", "x"],
+                 "argument --format: invalid choice: 'x' (choose from 'csv', 'svg')",
+                 id="bad-format"),
+    pytest.param(["scenario", "paper-aggregate", "--format", "svg", "--chart", "pie"],
+                 "argument --chart: invalid choice: 'pie' "
+                 "(choose from 'line', 'multi-line', 'heatmap')", id="bad-chart"),
+    pytest.param(["scenario", "paper-aggregate", "--precision", "x"],
+                 "argument --precision: invalid int value: 'x'", id="bad-int"),
+    pytest.param(["scenario", "paper-aggregate", "--precision", _BIG_PRECISION],
+                 f"argument --precision: invalid int value: {_BIG_PRECISION!r}",
+                 id="int-over-digit-limit"),
+    pytest.param(["scenario", "paper-aggregate", "--precision", "-1"],
+                 "precision must lie in [0, 17], got -1", id="negative-precision"),
+    pytest.param(["scenario", "--precision", "x", "--help"],
+                 "argument --precision: invalid int value: 'x'", id="bad-int-then-help"),
+    pytest.param(["scenario", "paper-aggregate", "--out"],
+                 "argument --out: expected one argument", id="out-without-value"),
+    pytest.param(["scenario", "paper-aggregate", "--out", "--format", "svg"],
+                 "argument --out: expected one argument", id="out-before-flag"),
+    pytest.param(["scenario", "paper-aggregate", "--out", "-x"],
+                 "argument --out: expected one argument", id="out-before-option"),
+    pytest.param(["scenario", "paper-aggregate", "--out", "--", "x"],
+                 "argument --out: expected one argument", id="out-before-dashes"),
+    pytest.param(["scenario", "paper-aggregate", "--bogus"],
+                 "unrecognized arguments: --bogus", id="unknown-flag"),
+    pytest.param(["scenario", "paper-aggregate", "b"],
+                 "unrecognized arguments: b", id="second-positional"),
+    pytest.param(["verify", "b"], "unrecognized arguments: b", id="verify-positional"),
+    pytest.param(["--bogus", "scenario", "paper-aggregate"],
+                 "unrecognized arguments: --bogus", id="unknown-flag-before-command"),
+    pytest.param(["--x", "verify", "--y", "b", "--z=3", "-p"],
+                 "unrecognized arguments: --x --y b --z=3 -p", id="unknown-in-order"),
+    pytest.param(["verify", "--"], "unrecognized arguments: --", id="verify-dashes"),
+    pytest.param(["scenario", "a", "--bogus", "--", "b"],
+                 "unrecognized arguments: --bogus -- b", id="dashes-apart-from-name"),
+    pytest.param(["scenario", "paper-aggregate", "--", "--out", "x"],
+                 "unrecognized arguments: --out x", id="flag-after-dashes"),
+    pytest.param(["list-scenarios", "--expand=1"],
+                 "argument --expand: ignored explicit argument '1'", id="switch-with-value"),
+    pytest.param(["--help=x"], "argument -h/--help: ignored explicit argument 'x'",
+                 id="help-with-value"),
+    pytest.param(["-help"], "argument -h/--help: ignored explicit argument 'elp'",
+                 id="short-help-with-value"),
+    pytest.param(["scenario", "paper-aggregate", "--=x"],
+                 "ambiguous option: --=x could match --help, --out, --format, --precision, "
+                 "--chart", id="ambiguous"),
+]
+
+# Each accepted argv and the plain spelling it means.
+_ACCEPTED_ARGV = [
+    pytest.param(["scenario", "--form", "svg", "paper-aggregate"],
+                 ["scenario", "paper-aggregate", "--format", "svg"], id="prefix"),
+    pytest.param(["scenario", "--precision", "3", "paper-aggregate"],
+                 ["scenario", "paper-aggregate", "--precision", "3"], id="option-first"),
+    pytest.param(["scenario", "paper-aggregate", "--precision=3"],
+                 ["scenario", "paper-aggregate", "--precision", "3"], id="equals"),
+    pytest.param(["scenario", "paper-aggregate", "--precision", "9", "--p=2", "--precision", "3"],
+                 ["scenario", "paper-aggregate", "--precision", "3"], id="last-wins"),
+    pytest.param(["scenario", "--", "paper-aggregate"],
+                 ["scenario", "paper-aggregate"], id="dashes-before-name"),
+    pytest.param(["scenario", "paper-aggregate", "--"],
+                 ["scenario", "paper-aggregate"], id="dashes-after-name"),
+    pytest.param(["scenario", "--chart=multi-line", "paper-replicator", "--f=svg"],
+                 ["scenario", "paper-replicator", "--format", "svg"], id="chart"),
+    pytest.param(["list-scenarios", "--e"], ["list-scenarios", "--expand"], id="switch-prefix"),
+]
+
+
+class TestArgvReader:
+    """What the CLI makes of its argv; the cases pin argparse's behaviour."""
+
+    @pytest.mark.parametrize("argv,message", _REFUSED_ARGV)
+    def test_refused(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,plain", _ACCEPTED_ARGV)
+    def test_accepted(self, capsys, argv, plain):
+        assert main(plain) == 0
+        want = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+
+    def test_out_with_equals(self, tmp_path, capsys):
+        target = tmp_path / "shares.csv"
+        assert main(["scenario", "paper-aggregate", f"--out={target}"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["scenario", "paper-aggregate"]) == 0
+        assert target.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["--he"], ["-hh"], ["--bogus", "--help"], ["--help", "frobnicate"],
+        ["scenario", "--help"], ["run", "-h"], ["list-scenarios", "--h"], ["verify", "--help"],
+        ["scenario", "paper-aggregate", "--bogus", "--help", "--format", "x"],
+    ])
+    def test_help(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: workmix")
+        assert captured.err == ""
+
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+        # The ``workmix`` script calls main() with no argument.
+        assert main(["scenario", "paper-aggregate"]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["workmix", "scenario", "paper-aggregate"])
+        assert main() == 0
+        assert capsys.readouterr().out == want
+        monkeypatch.setattr(sys, "argv", ["workmix", "frobnicate"])
+        assert main() == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: argument command: invalid choice: 'frobnicate' {_COMMAND_CHOICES}\n"
+        )

@@ -80,8 +80,30 @@ def test_a_command_runs_only_the_modules_it_uses(argv, models):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
     ) + _PRINT_EXECUTED
-    every_command = ["workmix", "workmix._calendar", "workmix.cli", "workmix.errors"]
+    every_command = ["workmix", "workmix._argv", "workmix._calendar", "workmix.cli",
+                     "workmix.errors"]
     assert _fresh(code) == sorted(every_command + [f"workmix.{name}" for name in models])
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "paper-aggregate"], ["scenario", "paper-boundary", "--format", "svg"],
+    ["run", "{config}", "--precision=3"], ["verify"], ["list-scenarios", "--expand"],
+    ["--help"], ["scenario", "--help"], ["frobnicate"], ["scenario", "paper-aggregate", "--bogus"],
+], ids=["paper-aggregate", "paper-boundary-svg", "run", "verify", "list-scenarios-expand",
+        "help", "scenario-help", "bad-command", "unknown-flag"])
+def test_no_command_imports_argparse(tmp_path, argv):
+    # Reading argv takes no argparse, so neither its gettext nor locale.
+    config = tmp_path / "config.json"
+    config.write_text('{"model": "aggregate", "scenario": "paper-aggregate"}')
+    argv = [str(config) if word == "{config}" else word for word in argv]
+    code = (
+        "import contextlib, io, sys\n"
+        "from workmix.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert _fresh(code) == []
 
 
 def _tracing_tables() -> dict:
