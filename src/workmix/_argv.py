@@ -6,13 +6,12 @@ of its one positional argument, or None, and its flags, each mapped to
 a tuple of the values the flag may take.  ``read_argv`` accepts what
 argparse accepts, with the same meaning, and refuses what it refuses, with
 its one-line message.  It imports no argparse, and so no ``gettext`` or
-``locale``, which argparse would load in every ``workmix`` process.
+``locale``, which argparse would load in every ``workmix`` process, and no
+``re``.  The help text is built in ``workmix._help``.
 """
 
 from __future__ import annotations
 
-import re
-import sys
 import types
 from typing import Iterable
 
@@ -39,35 +38,28 @@ def _flag(word: str, flags: Iterable[str]) -> tuple[str | None, str | None]:
         if len(matches) > 1:
             raise ValidationError(f"ambiguous option: {word} could match {', '.join(matches)}")
         if not matches:
-            negative = re.match(r"^-\d+$|^-\d*\.\d+$", word)
-            return (None, None) if negative or " " in word else ("", None)
+            return (None, None) if _is_number(word) or " " in word else ("", None)
         name = matches[0]
     if name == "-h" and value:
         value = value.lstrip("h") or None
     return ("--help" if name == "-h" else name), (value if equals else None)
 
 
+def _is_number(word: str) -> bool:
+    r"""argparse's ``^-\d+$|^-\d*\.\d+$`` on a word that starts with ``-``, where
+    ``$`` also matches before a final newline and ``\d`` is ``str.isdecimal``."""
+    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
+    if dot:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
+
+
 def _print_help(commands: dict, command: str | None, value: str | None) -> None:
-    """Usage, then one line per command or, for ``command``, per flag."""
     if value is not None:
         raise ValidationError(f"argument -h/--help: ignored explicit argument {value!r}")
-    footer = ""
-    if command is None:
-        usage, title = "<command> [options]", "commands, each with its own --help"
-        rows = [(f"{name} <{arg}>" if arg else name, about)
-                for name, (arg, about, _) in commands.items()]
-        footer = "\nexit codes: 0 success, 1 bad input or usage, 2 failed run, write or verify\n"
-    else:
-        arg, about, flags = commands[command]
-        usage = f"{command} <{arg}> [options]" if arg else f"{command} [options]"
-        title = f"{about}\n\noptions"
-        metavars = {str: " PATH", int: " N", bool: ""}
-        rows = [(flag + (f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else metavars[kind]),
-                 text) for flag, (kind, text) in flags.items()]
-    rows.append(("-h, --help", "show this help and exit"))
-    width = max(len(name) for name, _ in rows)
-    lines = "".join(f"  {name:<{width}}  {text}\n" for name, text in rows)
-    sys.stdout.write(f"usage: workmix {usage}\n\n{title}:\n{lines}{footer}")
+    from ._help import print_help  # here: only -h/--help compiles the help text
+
+    print_help(commands, command)
 
 
 def read_argv(argv: list[str], commands: dict) -> types.SimpleNamespace | None:

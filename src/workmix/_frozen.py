@@ -1,12 +1,14 @@
 """Base of the value types that keep their fields as instance attributes.
 
-Records and most parameter bundles are ``typing.NamedTuple`` types.  A type
-whose fields are read in the innermost loops (``BetaShape``), or that is
-not a sequence of its fields (``TaskUniverse``, whose length is its number
-of tasks), derives from :class:`Frozen` instead: its ``__init__`` checks its
-arguments and stores each with ``object.__setattr__``, which keeps the
-attributes as quick to read as a plain instance's, and the base makes the
-instance read-only and compares, hashes and shows it by ``_fields``.
+Records and most parameter bundles are ``collections.namedtuple`` types: a
+plain one, or a subclass with ``__slots__ = ()`` where the type has methods
+or checks its arguments in ``__new__``.  A type whose fields are read in the
+innermost loops (``BetaShape``), or that is not a sequence of its fields
+(``TaskUniverse``, whose length is its number of tasks), derives from
+:class:`Frozen` instead: its ``__init__`` checks its arguments and stores
+each with ``object.__setattr__``, which keeps the attributes as quick to
+read as a plain instance's, and the base makes the instance read-only and
+compares, hashes and shows it by ``_fields``.
 """
 
 from __future__ import annotations

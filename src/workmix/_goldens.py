@@ -1,10 +1,10 @@
 """The golden table that ``workmix verify`` checks: the paper's numbers, one row each.
 
 Only ``cli.verify_goldens`` imports this module, so no other command
-compiles the table.  Every row reads its model functions through their
-modules when it runs (``numerics.reg_inc_beta``, never a ``from`` import),
-so a function replaced on its module, by a test or a tracer, is the one that
-runs, and no row keeps a copy of it.
+compiles the table or the loop that checks it.  Every row reads its model
+functions through their modules when it runs (``numerics.reg_inc_beta``,
+never a ``from`` import), so a function replaced on its module, by a test or
+a tracer, is the one that runs, and no row keeps a copy of it.
 """
 
 from __future__ import annotations
@@ -129,3 +129,34 @@ def golden_checks(
         ("sweep csv axis row p=2.0 gamma=0.05",
          lambda: scenario_csv("paper-grid", 4), "2.0,5,0.05", None),
     ]
+
+
+def verify(scenario_csv: Callable[[str, int], str]) -> tuple[str, bool]:
+    """Run every golden check; returns (report text, all passed).
+
+    A float ``want`` passes within ``tol``, a string ``want`` must occur in
+    the computed text, and any other ``want`` must equal the computed value.
+    """
+    lines = []
+    passed = 0
+    checks = golden_checks(scenario_csv)
+    for name, compute, want, tol in checks:
+        try:
+            got = compute()
+            if isinstance(want, float):
+                ok = abs(got - want) <= tol
+                detail = f"got {got:.10f}, want {want:.10f} within {tol:g}"
+            elif isinstance(want, str):
+                ok = want in got
+                detail = f"expected substring {want!r}"
+            else:
+                ok = got == want
+                detail = f"got {got!r}, want {want!r}"
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        status = "ok  " if ok else "FAIL"
+        if ok:
+            passed += 1
+        lines.append(f"{status} {name:<42} {detail}")
+    lines.append(f"{passed}/{len(checks)} golden checks passed")
+    return "\n".join(lines) + "\n", passed == len(checks)

@@ -13,7 +13,7 @@ and admits the exact solution used by ``closed_form``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._calendar import START_YEAR
 from .errors import DomainError, ParamError
@@ -30,14 +30,7 @@ __all__ = [
 ]
 
 
-class _AggregateFields(NamedTuple):
-    alpha: float
-    beta: float
-    x0: float
-    start_year: int
-
-
-class AggregateParams(_AggregateFields):
+class AggregateParams(namedtuple("AggregateParams", "alpha beta x0 start_year")):
     """Rates and initial condition for the aggregate share recurrence.
 
     Both rates are restricted to [0, 1] with a positive sum, which keeps the
@@ -61,12 +54,7 @@ class AggregateParams(_AggregateFields):
         return tuple.__new__(cls, (alpha, beta, x0, start_year))
 
 
-class _SharePointFields(NamedTuple):
-    year: int
-    share: float
-
-
-class SharePoint(_SharePointFields):
+class SharePoint(namedtuple("SharePoint", "year share")):
     """One (calendar year, automated share) sample."""
 
     __slots__ = ()

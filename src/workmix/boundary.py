@@ -18,7 +18,7 @@ it solves for the machine intercept and the improvement rate.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._calendar import START_YEAR
 from .errors import CalibrationError, DomainError, ParamError
@@ -38,17 +38,9 @@ __all__ = [
 ]
 
 
-class _ContinuousFields(NamedTuple):
-    alpha_h: float
-    beta_h: float
-    alpha_m: float
-    beta_m: float
-    gamma: float
-    shape: BetaShape
-    start_year: int
-
-
-class ContinuousParams(_ContinuousFields):
+class ContinuousParams(
+    namedtuple("ContinuousParams", "alpha_h beta_h alpha_m beta_m gamma shape start_year")
+):
     """Payoff-line coefficients, improvement rate, and intricacy distribution."""
 
     __slots__ = ()
@@ -63,12 +55,8 @@ class ContinuousParams(_ContinuousFields):
         return tuple.__new__(cls, (alpha_h, beta_h, alpha_m, beta_m, gamma, shape, start_year))
 
 
-class BoundaryPoint(NamedTuple):
-    """Yearly sample: raw boundary (may leave [0, 1]) and the clamped share."""
-
-    year: int
-    theta: float
-    share: float
+BoundaryPoint = namedtuple("BoundaryPoint", "year theta share")
+BoundaryPoint.__doc__ = "Yearly sample: raw boundary (may leave [0, 1]) and the clamped share."
 
 
 def _check_theta(theta: float) -> None:

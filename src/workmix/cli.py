@@ -17,7 +17,8 @@ import functools
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Any, Callable, Iterable, Sequence
 
 # Nothing below reads a model attribute at import: each model module runs on
 # its first read (see ``workmix/__init__.py``), so a command compiles only the
@@ -56,15 +57,12 @@ __all__ = [
 # Configuration model
 # ---------------------------------------------------------------------------
 
-class OutputSpec(NamedTuple):
-    """Where and how results are written."""
-
-    format: str = "csv"
-    path: str | None = None
-    precision: int = 6
+OutputSpec = namedtuple("OutputSpec", "format path precision", defaults=("csv", None, 6))
+OutputSpec.__doc__ = "Where and how results are written."
 
 
-class ScenarioConfig(NamedTuple):
+class ScenarioConfig(namedtuple("ScenarioConfig", "model params output",
+                                defaults=(OutputSpec(),))):
     """A validated scenario: model name, canonical params, output options.
 
     ``params`` is stored in canonical JSON-able form with every default
@@ -72,21 +70,15 @@ class ScenarioConfig(NamedTuple):
     matter how sparsely they were written.
     """
 
-    model: str
-    params: dict
-    output: OutputSpec = OutputSpec()
+    __slots__ = ()
 
     def build(self) -> Any:
         """Construct the typed parameter object for this model."""
         return _SPECS[self.model].build(self.params)
 
 
-class RunResult(NamedTuple):
-    """Computed output of one scenario, tagged with its model."""
-
-    model: str
-    data: Any
-    config: ScenarioConfig | None = None
+RunResult = namedtuple("RunResult", "model data config", defaults=(None,))
+RunResult.__doc__ = "Computed output of one scenario, tagged with its model."
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +88,13 @@ class RunResult(NamedTuple):
 _REQUIRED = object()
 
 
-class _Key(NamedTuple):
-    """One params key.
-
-    ``kind`` is a checker ``(value, label) -> value`` or, for a nested
-    object, a tuple of keys.  ``minimum`` and ``maximum`` bound a number;
-    ``maximum`` bounds a list's length.  ``attr`` is the key's attribute
-    path on the model's typed object where it differs from the name;
-    builtins are read from the ``DEFAULT_*`` objects through it.
-    """
-
-    name: str
-    kind: Any
-    default: Any = _REQUIRED
-    minimum: int | None = None
-    maximum: int | None = None
-    attr: str | None = None
+# One params key.  ``kind`` is a checker ``(value, label) -> value`` or, for a
+# nested object, a tuple of keys.  ``minimum`` and ``maximum`` bound a number;
+# ``maximum`` bounds a list's length.  ``attr`` is the key's attribute path on
+# the model's typed object where it differs from the name; builtins are read
+# from the ``DEFAULT_*`` objects through it.
+_Key = namedtuple("_Key", "name kind default minimum maximum attr",
+                  defaults=(_REQUIRED, None, None, None))
 
 
 def _unchecked(value: Any, label: str) -> Any:
@@ -240,37 +223,37 @@ _HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, HORIZON_YEARS,
 _CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "human_payoff")
 
 @functools.cache
-def _lattice_families() -> dict[str, tuple[_Key, ...]]:
-    """Each lattice family's keys, built on first use.
+def _lattice_keys(family: str) -> tuple[_Key, ...]:
+    """A lattice family's keys, built on its first use.
 
-    The Beta families default to the paper's calibrated boundary model on
-    1,000 tasks, and every family to the lattice's own stop rule.
+    Every family defaults to the lattice's own stop rule, and the Beta
+    families to the paper's calibrated boundary model on 1,000 tasks.
     """
+    controls = (
+        _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
+        _Key("stability_window", _as_int, lat.DEFAULT_STABILITY_WINDOW, minimum=1),
+    )
+    if family == "table":
+        return (
+            _Key("thetas", _as_number_list, maximum=_MAX_TASKS),
+            _Key("human_values", _as_number_list, maximum=_MAX_TASKS),
+            _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
+            *controls,
+        )
     calibration = bnd.DEFAULT_BOUNDARY
     shape = (
         _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
         *_keys(_as_shape, p=calibration.shape.p, q=calibration.shape.q),
         *_keys(_as_number, alpha_h=calibration.alpha_h, beta_h=calibration.beta_h),
     )
-    controls = (
-        _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
-        _Key("stability_window", _as_int, lat.DEFAULT_STABILITY_WINDOW, minimum=1),
-    )
-    return {
-        "linear": (
+    if family == "linear":
+        return (
             *shape,
             *_keys(_as_number, alpha_m=calibration.alpha_m, beta_m=calibration.beta_m,
                    gamma=calibration.gamma),
             *controls,
-        ),
-        "saturating": (*_keys(_as_number, "limit_intercept", "limit_slope"), *shape, *controls),
-        "table": (
-            _Key("thetas", _as_number_list, maximum=_MAX_TASKS),
-            _Key("human_values", _as_number_list, maximum=_MAX_TASKS),
-            _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
-            *controls,
-        ),
-    }
+        )
+    return (*_keys(_as_number, "limit_intercept", "limit_slope"), *shape, *controls)
 
 
 def _lattice_params(params: Any) -> dict:
@@ -283,13 +266,13 @@ def _lattice_params(params: Any) -> dict:
     if not isinstance(params, dict):
         raise ValidationError("lattice params must be an object")
     family = params.get("family")
-    if not isinstance(family, str) or family not in _lattice_families():
+    if family not in ("linear", "saturating", "table"):
         raise ValidationError(
             "lattice params require family 'linear', 'saturating', or 'table', "
             f"got {family!r}"
         )
     rest = {key: value for key, value in params.items() if key != "family"}
-    return {"family": family, **_check(rest, "lattice params", _lattice_families()[family])}
+    return {"family": family, **_check(rest, "lattice params", _lattice_keys(family))}
 
 
 @functools.cache
@@ -360,10 +343,10 @@ def _replicator_run(params: dict) -> tuple[rep.ReplicatorParams, int]:
     return built, horizon
 
 
-class LatticeRun(NamedTuple):
+class LatticeRun(namedtuple("LatticeRun", "params")):
     """A lattice scenario: the universe recipe plus iteration controls."""
 
-    params: dict
+    __slots__ = ()
 
     def build_universe(self) -> lat.TaskUniverse:
         p = self.params
@@ -387,7 +370,7 @@ def _run_lattice(run: LatticeRun) -> tuple[lat.DelegationTrace, int]:
 
 
 # ---------------------------------------------------------------------------
-# CSV rows and charts
+# CSV rows
 # ---------------------------------------------------------------------------
 
 def _sweep_rows(cells: Any, num: Callable[[float], str]) -> Iterable[str]:
@@ -406,77 +389,12 @@ def _lattice_rows(data: Any, num: Callable[[float], str]) -> Iterable[str]:
         yield f"{t},{count},{num(count / n_tasks)}"
 
 
-def _share_line(result: RunResult) -> str:
-    points = [(float(p.year), p.share) for p in result.data]
-    return svgplot.line_chart(points, x_label="year", y_label="share")
-
-
-def _replicator_lines(result: RunResult) -> str:
-    series = [
-        ("routine", [(float(p.year), p.x_routine) for p in result.data]),
-        ("complex", [(float(p.year), p.x_complex) for p in result.data]),
-        ("total", [(float(p.year), p.x_total) for p in result.data]),
-    ]
-    return svgplot.multi_line_chart(series, x_label="year", y_label="share")
-
-
-def _lattice_line(result: RunResult) -> str:
-    trace, n_tasks = result.data
-    points = [(float(t), count / n_tasks) for t, count in enumerate(trace.counts)]
-    return svgplot.line_chart(points, x_label="t", y_label="share")
-
-
-def _boundary_heatmap(result: RunResult) -> str:
-    """Payoff advantage over (year, theta), with the boundary overlaid."""
-    if result.config is None:
-        raise ChartError("boundary heatmap needs the run's config, and this result has none")
-    if result.config.model != "boundary":
-        raise ChartError(f"boundary heatmap needs a boundary config, got {result.config.model!r}")
-    params, horizon = result.config.build()
-    years = [params.start_year + t for t in range(horizon + 1)]
-    thetas = [round(0.1 * j, 10) for j in range(11)]
-    grid = bnd.advantage_grid(params, years, thetas)
-    overlay = [
-        (point.year, min(1.0, max(0.0, point.theta))) for point in result.data
-    ]
-    return svgplot.heatmap(
-        [float(y) for y in years],
-        thetas,
-        grid,
-        x_label="year",
-        y_label="theta",
-        overlay=overlay,
-    )
-
-
-def _sweep_heatmap(result: RunResult) -> str:
-    cells = result.data
-    q_values = sorted({cell.q for cell in cells})
-    if len(q_values) != 1:
-        raise ChartError(
-            "sweep heatmap needs exactly one q value; "
-            f"got {len(q_values)} (filter the grid first)"
-        )
-    p_values = sorted({cell.p for cell in cells})
-    gamma_values = sorted({cell.gamma for cell in cells})
-    lookup = {(cell.p, cell.gamma): cell.final_share for cell in cells}
-    grid = [
-        [lookup[(p, gamma)] for p in p_values] for gamma in gamma_values
-    ]
-    return svgplot.heatmap(
-        [float(g) for g in gamma_values],
-        [float(p) for p in p_values],
-        grid,
-        x_label="gamma",
-        y_label="p",
-    )
-
-
 # ---------------------------------------------------------------------------
 # The model registry
 # ---------------------------------------------------------------------------
 
-class _ModelSpec(NamedTuple):
+class _ModelSpec(namedtuple("_ModelSpec", "name keys build run header rows charts builtin check",
+                            defaults=(None, None))):
     """Everything the CLI knows about one model.
 
     ``keys`` returns the params schema, built when first asked for, so that
@@ -486,20 +404,12 @@ class _ModelSpec(NamedTuple):
     turns canonical params into what ``run`` takes; ``load_config`` calls it
     too, so a typed constructor's error surfaces at load time.  ``rows``
     renders the run's data under ``header``.  ``charts`` maps each chart
-    kind the model allows to its renderer, the default first.  ``builtin``
-    names a scenario and returns the ``DEFAULT_*`` object its params are
-    read from.
+    kind the model allows to the name of the ``svgplot`` function that draws
+    it, the default first.  ``builtin`` names a scenario and returns the
+    ``DEFAULT_*`` object its params are read from.
     """
 
-    name: str
-    keys: Callable[[], tuple[_Key, ...]]
-    build: Callable[[dict], Any]
-    run: Callable[[Any], Any]
-    header: str
-    rows: Callable[[Any, Callable[[float], str]], Iterable[str]]
-    charts: dict[str, Callable[[RunResult], str]]
-    builtin: tuple[str, Callable[[], Any]] | None = None
-    check: Callable[[Any], dict] | None = None
+    __slots__ = ()
 
     def canonical(self, params: Any) -> dict:
         if self.check is not None:
@@ -520,7 +430,7 @@ _SPECS = {
             run=lambda built: agg.simulate(*built),
             header="year,share",
             rows=lambda data, num: (f"{p.year},{num(p.share)}" for p in data),
-            charts={"line": _share_line},
+            charts={"line": "share_line"},
             builtin=("paper-aggregate", lambda: agg.DEFAULT_AGGREGATE),
         ),
         _ModelSpec(
@@ -538,7 +448,7 @@ _SPECS = {
                 f"{p.year},{num(p.x_routine)},{num(p.x_complex)},{num(p.x_total)}"
                 for p in data
             ),
-            charts={"multi-line": _replicator_lines},
+            charts={"multi-line": "replicator_lines"},
             builtin=("paper-replicator", lambda: rep.DEFAULT_REPLICATOR),
         ),
         _ModelSpec(
@@ -558,7 +468,7 @@ _SPECS = {
             rows=lambda data, num: (
                 f"{p.year},{num(p.theta)},{num(p.share)}" for p in data
             ),
-            charts={"line": _share_line, "heatmap": _boundary_heatmap},
+            charts={"line": "share_line", "heatmap": "boundary_heatmap"},
             builtin=("paper-boundary", lambda: bnd.DEFAULT_BOUNDARY),
         ),
         _ModelSpec(
@@ -568,7 +478,7 @@ _SPECS = {
             run=_run_lattice,
             header="t,automated_count,share",
             rows=_lattice_rows,
-            charts={"line": _lattice_line},
+            charts={"line": "lattice_line"},
             check=_lattice_params,
         ),
         _ModelSpec(
@@ -580,7 +490,7 @@ _SPECS = {
             run=lambda grid: swp.run_grid(grid),
             header="p,q,gamma,alpha_M,final_share,cross50_year",
             rows=_sweep_rows,
-            charts={"heatmap": _sweep_heatmap},
+            charts={"heatmap": "sweep_heatmap"},
             builtin=("paper-grid", lambda: swp.DEFAULT_GRID),
             check=_sweep_params,
         ),
@@ -732,7 +642,7 @@ def emit_svg(result: RunResult, chart: str) -> str:
     render = spec.charts.get(chart) if spec is not None else None
     if render is None:
         raise ChartError(f"chart {chart!r} does not apply to model {result.model!r}")
-    return render(result)
+    return getattr(svgplot, render)(result)
 
 
 # ---------------------------------------------------------------------------
@@ -745,36 +655,10 @@ def _scenario_csv(name: str, precision: int) -> str:
 
 
 def verify_goldens() -> tuple[str, bool]:
-    """Run every embedded golden check; returns (report text, all passed).
+    """Run every embedded golden check; returns (report text, all passed)."""
+    from ._goldens import verify  # here: no other command compiles the table
 
-    A float ``want`` passes within ``tol``, a string ``want`` must occur in
-    the computed text, and any other ``want`` must equal the computed value.
-    """
-    from ._goldens import golden_checks  # here: no other command compiles the table
-
-    lines = []
-    passed = 0
-    checks = golden_checks(_scenario_csv)
-    for name, compute, want, tol in checks:
-        try:
-            got = compute()
-            if isinstance(want, float):
-                ok = abs(got - want) <= tol
-                detail = f"got {got:.10f}, want {want:.10f} within {tol:g}"
-            elif isinstance(want, str):
-                ok = want in got
-                detail = f"expected substring {want!r}"
-            else:
-                ok = got == want
-                detail = f"got {got!r}, want {want!r}"
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "ok  " if ok else "FAIL"
-        if ok:
-            passed += 1
-        lines.append(f"{status} {name:<42} {detail}")
-    lines.append(f"{passed}/{len(checks)} golden checks passed")
-    return "\n".join(lines) + "\n", passed == len(checks)
+    return verify(_scenario_csv)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ a task's values only when read; else it scans every task.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
+from . import numerics  # read when called: a table lattice never runs numerics
 from ._frozen import Frozen
 from .errors import DomainError, MonotonicityError, ParamError
-from .numerics import BetaShape, inv_reg_inc_beta
 
 __all__ = [
     "Line",
@@ -66,11 +67,10 @@ class _Quantiles(_Lazy):
     """Beta quantiles, one theta of the module's premise."""
 
 
-class Line(NamedTuple):
+class Line(namedtuple("Line", "intercept slope")):
     """The utility ``intercept + slope * theta``."""
 
-    intercept: float
-    slope: float
+    __slots__ = ()
 
     def __call__(self, theta: float) -> float:
         return self.intercept + self.slope * theta
@@ -116,10 +116,10 @@ class _PrefixUniverse(TaskUniverse):
     """Built only when the module's premise holds: the machine wins a prefix of the ids."""
 
 
-class Allocation(NamedTuple):
+class Allocation(namedtuple("Allocation", "automated", defaults=(frozenset(),))):
     """Set of task ids currently delegated to the machine."""
 
-    automated: frozenset[int] = frozenset()
+    __slots__ = ()
 
     def fraction(self, n_tasks: int) -> float:
         """Automated share |A| / N; zero for an empty universe."""
@@ -128,13 +128,11 @@ class Allocation(NamedTuple):
         return len(self.automated) / n_tasks
 
 
-class DelegationTrace(NamedTuple):
+class DelegationTrace(namedtuple("DelegationTrace", "counts order converged_at")):
     """Row k automates the first ``counts[k]`` ids of ``order``: the empty start, then
     year offset k - 1.  ``converged_at`` is None when the run was truncated."""
 
-    counts: tuple[int, ...]
-    order: tuple[int, ...]
-    converged_at: int | None
+    __slots__ = ()
 
     @property
     def iterations(self) -> tuple[Allocation, ...]:
@@ -215,11 +213,11 @@ def run_delegation(
     return DelegationTrace(tuple(counts), tuple(order), None)
 
 
-def beta_quantile_thetas(n: int, shape: BetaShape) -> Sequence[float]:
+def beta_quantile_thetas(n: int, shape: numerics.BetaShape) -> Sequence[float]:
     """Intricacy values, Beta(p, q) quantiles at (i + 0.5) / n, inverted when first read."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _Quantiles(range(n), lambda i: inv_reg_inc_beta((i + 0.5) / n, shape))
+    return _Quantiles(range(n), lambda i: numerics.inv_reg_inc_beta((i + 0.5) / n, shape))
 
 
 def _premise(thetas: Sequence[float], human: Callable, base: Callable, saturating: bool):

@@ -12,7 +12,7 @@ total across the two categories.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._calendar import START_YEAR
 from .errors import DomainError, ParamError, RangeError
@@ -27,14 +27,9 @@ __all__ = [
 ]
 
 
-class _CategoryFields(NamedTuple):
-    x0: float
-    machine_intercept: float
-    machine_growth: float
-    human_payoff: float
-
-
-class CategoryParams(_CategoryFields):
+class CategoryParams(
+    namedtuple("CategoryParams", "x0 machine_intercept machine_growth human_payoff")
+):
     """One task category: initial share plus its payoff schedule.
 
     The machine side earns machine_intercept + machine_growth * t at year
@@ -53,15 +48,9 @@ class CategoryParams(_CategoryFields):
         return self.machine_intercept + self.machine_growth * t - self.human_payoff
 
 
-class _ReplicatorFields(NamedTuple):
-    routine: CategoryParams
-    complex: CategoryParams
-    sensitivity: float
-    w_routine: float
-    start_year: int
-
-
-class ReplicatorParams(_ReplicatorFields):
+class ReplicatorParams(
+    namedtuple("ReplicatorParams", "routine complex sensitivity w_routine start_year")
+):
     __slots__ = ()
 
     def __new__(cls, routine, complex, sensitivity, w_routine, start_year=START_YEAR):
@@ -76,11 +65,7 @@ class ReplicatorParams(_ReplicatorFields):
         return 1.0 - self.w_routine
 
 
-class ReplicatorPoint(NamedTuple):
-    year: int
-    x_routine: float
-    x_complex: float
-    x_total: float
+ReplicatorPoint = namedtuple("ReplicatorPoint", "year x_routine x_complex x_total")
 
 
 def replicator_step(x: float, t: int, cat: CategoryParams, r: float) -> float:

@@ -7,14 +7,16 @@ drawn on one fixed 720 x 480 canvas.  Data series are drawn as <polyline>
 elements and heat cells as <rect> elements; axes, ticks, and frames
 deliberately use <line> and <text>, so counting the data elements of a
 document sees only the data.  Both line charts share one body, which draws a
-legend entry for each labelled series.
+legend entry for each labelled series.  The last section draws the chart
+of each model's run for the CLI.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from . import boundary as bnd  # run only by the boundary heatmap
+from .errors import ChartError, DomainError
 
 __all__ = ["line_chart", "multi_line_chart", "heatmap"]
 
@@ -233,3 +235,74 @@ def heatmap(
     if overlay:
         body.append(_polyline(overlay, frame, "#000000"))
     return _document(body)
+
+
+# ---------------------------------------------------------------------------
+# The chart of each model's run, by the name ``cli.emit_svg`` looks up; each
+# takes a ``cli.RunResult``, so only SVG output compiles them.
+# ---------------------------------------------------------------------------
+
+def share_line(result) -> str:
+    points = [(float(p.year), p.share) for p in result.data]
+    return line_chart(points, x_label="year", y_label="share")
+
+
+def replicator_lines(result) -> str:
+    series = [
+        ("routine", [(float(p.year), p.x_routine) for p in result.data]),
+        ("complex", [(float(p.year), p.x_complex) for p in result.data]),
+        ("total", [(float(p.year), p.x_total) for p in result.data]),
+    ]
+    return multi_line_chart(series, x_label="year", y_label="share")
+
+
+def lattice_line(result) -> str:
+    trace, n_tasks = result.data
+    points = [(float(t), count / n_tasks) for t, count in enumerate(trace.counts)]
+    return line_chart(points, x_label="t", y_label="share")
+
+
+def boundary_heatmap(result) -> str:
+    """Payoff advantage over (year, theta), with the boundary overlaid."""
+    if result.config is None:
+        raise ChartError("boundary heatmap needs the run's config, and this result has none")
+    if result.config.model != "boundary":
+        raise ChartError(f"boundary heatmap needs a boundary config, got {result.config.model!r}")
+    params, horizon = result.config.build()
+    years = [params.start_year + t for t in range(horizon + 1)]
+    thetas = [round(0.1 * j, 10) for j in range(11)]
+    grid = bnd.advantage_grid(params, years, thetas)
+    overlay = [
+        (point.year, min(1.0, max(0.0, point.theta))) for point in result.data
+    ]
+    return heatmap(
+        [float(y) for y in years],
+        thetas,
+        grid,
+        x_label="year",
+        y_label="theta",
+        overlay=overlay,
+    )
+
+
+def sweep_heatmap(result) -> str:
+    cells = result.data
+    q_values = sorted({cell.q for cell in cells})
+    if len(q_values) != 1:
+        raise ChartError(
+            "sweep heatmap needs exactly one q value; "
+            f"got {len(q_values)} (filter the grid first)"
+        )
+    p_values = sorted({cell.p for cell in cells})
+    gamma_values = sorted({cell.gamma for cell in cells})
+    lookup = {(cell.p, cell.gamma): cell.final_share for cell in cells}
+    grid = [
+        [lookup[(p, gamma)] for p in p_values] for gamma in gamma_values
+    ]
+    return heatmap(
+        [float(g) for g in gamma_values],
+        [float(p) for p in p_values],
+        grid,
+        x_label="gamma",
+        y_label="p",
+    )

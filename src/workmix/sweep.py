@@ -29,7 +29,7 @@ which is the scan itself; ``cross50`` runs it unless given a bracket.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._calendar import HORIZON_YEARS, START_YEAR
 from .boundary import DEFAULT_BOUNDARY, ContinuousParams, automated_share, automation_boundary
@@ -59,19 +59,8 @@ def _require_ascending(name: str, values: tuple) -> None:
         raise ParamError(f"{name} must be positive, got {values!r}")
 
 
-class _GridFields(NamedTuple):
-    p_values: tuple[float, ...]
-    q_values: tuple[float, ...]
-    gamma_values: tuple[float, ...]
-    horizon_years: int
-    initial_share_target: float
-    alpha_h: float
-    beta_h: float
-    beta_m: float
-    start_year: int
-
-
-class GridSpec(_GridFields):
+class GridSpec(namedtuple("GridSpec", "p_values q_values gamma_values horizon_years "
+                                     "initial_share_target alpha_h beta_h beta_m start_year")):
     """Sweep axes plus the quantities held fixed across cells."""
 
     __slots__ = ()
@@ -95,15 +84,8 @@ class GridSpec(_GridFields):
         )
 
 
-class GridCell(NamedTuple):
-    """Outcome of one (p, q, gamma) cell."""
-
-    p: float
-    q: float
-    gamma: float
-    alpha_m_used: float
-    final_share: float
-    cross50_year: int | None
+GridCell = namedtuple("GridCell", "p q gamma alpha_m_used final_share cross50_year")
+GridCell.__doc__ = "Outcome of one (p, q, gamma) cell; cross50_year is None if it never crosses."
 
 
 def _median_bracket(shape: BetaShape) -> tuple[float, float]:

@@ -1123,13 +1123,14 @@ class TestLatticeQuantileWork:
     ], ids=["default", "ten-thousand-tasks"])
     def test_inverse_calls_per_run(self, monkeypatch, params, bound):
         calls = [0]
-        original = workmix.lattice.inv_reg_inc_beta
+        original = workmix.numerics.inv_reg_inc_beta
 
         def counted(*args):
             calls[0] += 1
             return original(*args)
 
-        monkeypatch.setattr(workmix.lattice, "inv_reg_inc_beta", counted)
+        # The lattice reads the inverse through its module when it inverts.
+        monkeypatch.setattr(workmix.numerics, "inv_reg_inc_beta", counted)
         run_config(load_config(json.dumps({"model": "lattice", "params": params})))
         assert 0 < calls[0] <= bound
 
@@ -1375,6 +1376,18 @@ _ACCEPTED_ARGV = [
     pytest.param(["list-scenarios", "--e"], ["list-scenarios", "--expand"], id="switch-prefix"),
 ]
 
+# Words that start with "-", each with whether argparse reads it as an argument
+# rather than an option: "-" alone, and those its ^-\d+$|^-\d*\.\d+$ matches,
+# where "$" also matches before a final newline and "\d" is any decimal digit
+# (str.isdecimal: "-٣" is a number, the superscript "-²" is not).
+_DASH_WORDS = [
+    pytest.param(word, argument, id=ascii(word)) for word, argument in [
+        ("-1", True), ("-0", True), ("-.5", True), ("-1.", False), ("-1e3", False),
+        ("--1", False), ("-", True), ("-x", False), ("-.5.5", False), ("-1\n", True),
+        ("-٣", True), ("-²", False),
+    ]
+]
+
 
 class TestArgvReader:
     """What the CLI makes of its argv; the cases pin argparse's behaviour."""
@@ -1401,6 +1414,34 @@ class TestArgvReader:
         assert capsys.readouterr().out == ""
         assert main(["scenario", "paper-aggregate"]) == 0
         assert target.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("word,argument", _DASH_WORDS)
+    def test_dash_word_as_flag_value(self, tmp_path, monkeypatch, capsys, word, argument):
+        monkeypatch.chdir(tmp_path)
+        code = main(["scenario", "paper-aggregate", "--out", word])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if argument:
+            assert (code, captured.err) == (0, "")
+            assert main(["scenario", "paper-aggregate"]) == 0
+            assert [p.name for p in tmp_path.iterdir()] == [word]
+            assert (tmp_path / word).read_text() == capsys.readouterr().out
+        else:
+            assert (code, captured.err) == (1, "error: argument --out: expected one argument\n")
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("word,argument", _DASH_WORDS)
+    def test_dash_word_as_positional(self, capsys, word, argument):
+        assert main(["scenario", word]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if argument:
+            assert captured.err == (
+                f"error: unknown scenario {word!r} (builtins: paper-aggregate, "
+                "paper-replicator, paper-boundary, paper-grid)\n"
+            )
+        else:
+            assert captured.err == "error: the following arguments are required: name\n"
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h"], ["--he"], ["-hh"], ["--bogus", "--help"], ["--help", "frobnicate"],

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -65,6 +66,10 @@ def test_import_runs_only_errors():
     assert _fresh("import workmix\n" + _PRINT_EXECUTED) == ["workmix", "workmix.errors"]
 
 
+_TABLE_LATTICE = {"family": "table", "thetas": [0.2, 0.4], "human_values": [1.0, 1.0],
+                  "machine_rows": [[0.5, 2.0], [2.0, 2.0]]}
+
+
 @pytest.mark.parametrize("argv,models", [
     (["scenario", "paper-aggregate"], ["aggregate"]),
     (["scenario", "paper-boundary"], ["_frozen", "boundary", "numerics"]),
@@ -72,8 +77,17 @@ def test_import_runs_only_errors():
                   "sweep"]),
     (["list-scenarios", "--expand"], ["_frozen", "aggregate", "boundary", "numerics",
                                       "replicator", "sweep"]),
-], ids=["paper-aggregate", "paper-boundary", "verify", "list-scenarios-expand"])
-def test_a_command_runs_only_the_modules_it_uses(argv, models):
+    # A table lattice runs no Beta code, and CSV output no chart code.
+    (["run", _TABLE_LATTICE], ["_frozen", "lattice"]),
+    (["run", {"family": "linear", "n_tasks": 10}], ["_frozen", "boundary", "lattice",
+                                                    "numerics"]),
+], ids=["paper-aggregate", "paper-boundary", "verify", "list-scenarios-expand", "table-lattice",
+        "linear-lattice"])
+def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, models):
+    if argv[0] == "run":  # a lattice config with these params
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "lattice", "params": argv[1]}))
+        argv = ["run", str(config)]
     code = (
         "import contextlib, io\n"
         "from workmix.cli import main\n"
@@ -104,6 +118,19 @@ def test_no_command_imports_argparse(tmp_path, argv):
         "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
     )
     assert _fresh(code) == []
+
+
+def test_no_module_uses_typing_namedtuple():
+    # A typing.NamedTuple class takes about three times as long to create as a
+    # collections.namedtuple one, in every process that runs its module.
+    found = []
+    for path in sorted(Path(workmix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "typing"
+                    and any(alias.name == "NamedTuple" for alias in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "NamedTuple"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def _tracing_tables() -> dict:

@@ -99,6 +99,10 @@ DEFAULTS = {
     RunResult: (None,),
 }
 
+# The types whose __new__ checks its arguments, and so holds their defaults.
+VALIDATED = {AggregateParams, SharePoint, CategoryParams, ReplicatorParams, ContinuousParams,
+             GridSpec}
+
 _IDS = [cls.__name__ for cls, *_ in TYPES]
 
 
@@ -166,13 +170,23 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             made.extra = 1
 
+    def test_tuple_helpers(self, cls, names, values, required):
+        assert cls._fields == names
+        if cls in (BetaShape, TaskUniverse):
+            return
+        made = cls(*values)
+        assert made._asdict() == dict(zip(names, values))
+        assert type(made._replace()) is cls and made._replace() == made
+        defaults = dict(zip(names[required:], DEFAULTS.get(cls, ())))
+        assert cls._field_defaults == ({} if cls in VALIDATED else defaults)
+
     def test_repr_names_every_field(self, cls, names, values, required):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
         assert repr(cls(*values)) == f"{cls.__name__}({fields})"
 
     def test_all_but_two_are_tuples_of_their_fields(self, cls, names, values, required):
         # BetaShape and TaskUniverse keep their fields as attributes; every
-        # other type is a NamedTuple, equal to the plain tuple of its fields.
+        # other type is a namedtuple, equal to the plain tuple of its fields.
         made = cls(*values)
         if cls in (BetaShape, TaskUniverse):
             assert made != tuple(values) and not isinstance(made, tuple)
