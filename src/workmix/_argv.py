@@ -13,7 +13,7 @@ its one-line message.  It imports no argparse, and so no ``gettext`` or
 from __future__ import annotations
 
 import types
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import ValidationError
 

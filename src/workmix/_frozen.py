@@ -13,8 +13,6 @@ compares, hashes and shows it by ``_fields``.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class Frozen:
     """Read-only once made; equal to an instance of the same class with equal ``_fields``."""
@@ -37,7 +35,7 @@ class Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:

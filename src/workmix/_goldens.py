@@ -10,7 +10,7 @@ a tracer, is the one that runs, and no row keeps a copy of it.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable
+from collections.abc import Callable
 
 from . import aggregate as agg
 from . import boundary as bnd
@@ -20,7 +20,7 @@ from . import sweep as swp
 
 def golden_checks(
     scenario_csv: Callable[[str, int], str],
-) -> list[tuple[str, Callable[[], Any], Any, float | None]]:
+) -> list[tuple[str, Callable[[], object], object, float | None]]:
     """Rows ``(name, compute, want, tol)``; each compute looks its functions up when run.
 
     ``scenario_csv(name, precision)`` renders a builtin scenario as the CLI

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from typing import Any, Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 # Nothing below reads a model attribute at import: each model module runs on
 # its first read (see ``workmix/__init__.py``), so a command compiles only the
@@ -72,7 +72,7 @@ class ScenarioConfig(namedtuple("ScenarioConfig", "model params output",
 
     __slots__ = ()
 
-    def build(self) -> Any:
+    def build(self) -> object:
         """Construct the typed parameter object for this model."""
         return _SPECS[self.model].build(self.params)
 
@@ -97,11 +97,11 @@ _Key = namedtuple("_Key", "name kind default minimum maximum attr",
                   defaults=(_REQUIRED, None, None, None))
 
 
-def _unchecked(value: Any, label: str) -> Any:
+def _unchecked(value: object, label: str) -> object:
     return value
 
 
-def _as_number(value: Any, label: str) -> float:
+def _as_number(value: object, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{label} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -109,13 +109,13 @@ def _as_number(value: Any, label: str) -> float:
     return _in_double_range(value, label)
 
 
-def _as_int(value: Any, label: str) -> int:
+def _as_int(value: object, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{label} must be an integer, got {value!r}")
     return _in_double_range(value, label)
 
 
-def _in_double_range(value: Any, label: str) -> Any:
+def _in_double_range(value: object, label: str) -> object:
     """Refuse, by name, an integer that a conversion to float would overflow."""
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ValidationError(
@@ -125,7 +125,7 @@ def _in_double_range(value: Any, label: str) -> Any:
     return value
 
 
-def _as_shape(value: Any, label: str) -> float:
+def _as_shape(value: object, label: str) -> float:
     """A Beta shape parameter, refused by name outside ``BetaShape``'s range."""
     value = _as_number(value, label)
     if value > 0:  # BetaShape and GridSpec refuse a value <= 0 in their own words
@@ -133,23 +133,23 @@ def _as_shape(value: Any, label: str) -> float:
     return value
 
 
-def _as_number_list(value: Any, label: str, item: Callable = _as_number) -> list:
+def _as_number_list(value: object, label: str, item: Callable = _as_number) -> list:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{label} must be a non-empty list of numbers")
     return [item(v, f"{label}[{i}]") for i, v in enumerate(value)]
 
 
-def _as_shape_list(value: Any, label: str) -> list:
+def _as_shape_list(value: object, label: str) -> list:
     return _as_number_list(value, label, _as_shape)
 
 
-def _as_rows(value: Any, label: str) -> list:
+def _as_rows(value: object, label: str) -> list:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{label} must be a non-empty list of rows")
     return [_as_number_list(row, f"{label}[{i}]") for i, row in enumerate(value)]
 
 
-def _check(block: Any, where: str, keys: tuple[_Key, ...], prefix: str = "") -> dict:
+def _check(block: object, where: str, keys: tuple[_Key, ...], prefix: str = "") -> dict:
     """Strictly check ``block`` against ``keys``; return the merged dict.
 
     Every unknown key is an error, named, and so is every missing required
@@ -188,7 +188,7 @@ def _check(block: Any, where: str, keys: tuple[_Key, ...], prefix: str = "") -> 
     return checked
 
 
-def _read(obj: Any, keys: tuple[_Key, ...]) -> dict:
+def _read(obj: object, keys: tuple[_Key, ...]) -> dict:
     """Canonical params of a typed object, read through ``keys``."""
     params = {}
     for key in keys:
@@ -203,7 +203,7 @@ def _read(obj: Any, keys: tuple[_Key, ...]) -> dict:
     return params
 
 
-def _keys(kind: Any, *required: str, **optional: Any) -> tuple[_Key, ...]:
+def _keys(kind: object, *required: str, **optional: object) -> tuple[_Key, ...]:
     """Keys of one kind: the required ones by name, then the optional ones."""
     return tuple(_Key(name, kind) for name in required) + tuple(
         _Key(name, kind, default) for name, default in optional.items()
@@ -256,7 +256,7 @@ def _lattice_keys(family: str) -> tuple[_Key, ...]:
     return (*_keys(_as_number, "limit_intercept", "limit_slope"), *shape, *controls)
 
 
-def _lattice_params(params: Any) -> dict:
+def _lattice_params(params: object) -> dict:
     """Check keys, types and ranges of a lattice block for its family.
 
     Builds nothing: the universe's own invariants (a negative saturating
@@ -292,7 +292,7 @@ def _sweep_keys() -> tuple[_Key, ...]:
     )
 
 
-def _sweep_params(params: Any) -> dict:
+def _sweep_params(params: object) -> dict:
     """Check a sweep block, then cap its number of cells."""
     checked = _check(params, "sweep params", _sweep_keys())
     cells = len(checked["p_values"]) * len(checked["q_values"]) * len(checked["gamma_values"])
@@ -308,7 +308,7 @@ def _sweep_params(params: Any) -> dict:
 # Building and running
 # ---------------------------------------------------------------------------
 
-def _with_horizon(make: Callable[..., Any]) -> Callable[[dict], tuple[Any, int]]:
+def _with_horizon(make: Callable[..., object]) -> Callable[[dict], tuple[object, int]]:
     """Build a trajectory model as (typed params, horizon_years)."""
     return lambda params: (
         make(**{key: v for key, v in params.items() if key != "horizon_years"}),
@@ -373,7 +373,7 @@ def _run_lattice(run: LatticeRun) -> tuple[lat.DelegationTrace, int]:
 # CSV rows
 # ---------------------------------------------------------------------------
 
-def _sweep_rows(cells: Any, num: Callable[[float], str]) -> Iterable[str]:
+def _sweep_rows(cells: object, num: Callable[[float], str]) -> Iterable[str]:
     for cell in cells:
         year = "" if cell.cross50_year is None else str(cell.cross50_year)
         # Axis values render exactly as configured (5 stays 5, 2.0 stays 2.0).
@@ -383,7 +383,7 @@ def _sweep_rows(cells: Any, num: Callable[[float], str]) -> Iterable[str]:
         )
 
 
-def _lattice_rows(data: Any, num: Callable[[float], str]) -> Iterable[str]:
+def _lattice_rows(data: object, num: Callable[[float], str]) -> Iterable[str]:
     trace, n_tasks = data
     for t, count in enumerate(trace.counts):
         yield f"{t},{count},{num(count / n_tasks)}"
@@ -393,28 +393,18 @@ def _lattice_rows(data: Any, num: Callable[[float], str]) -> Iterable[str]:
 # The model registry
 # ---------------------------------------------------------------------------
 
-class _ModelSpec(namedtuple("_ModelSpec", "name keys build run header rows charts builtin check",
-                            defaults=(None, None))):
-    """Everything the CLI knows about one model.
-
-    ``keys`` returns the params schema, built when first asked for, so that
-    defaults read from a model's ``DEFAULT_*`` object run that model only
-    when it is used (``check`` replaces it where the schema depends on a
-    value, as the lattice's does on its family).  ``build``
-    turns canonical params into what ``run`` takes; ``load_config`` calls it
-    too, so a typed constructor's error surfaces at load time.  ``rows``
-    renders the run's data under ``header``.  ``charts`` maps each chart
-    kind the model allows to the name of the ``svgplot`` function that draws
-    it, the default first.  ``builtin`` names a scenario and returns the
-    ``DEFAULT_*`` object its params are read from.
-    """
-
-    __slots__ = ()
-
-    def canonical(self, params: Any) -> dict:
-        if self.check is not None:
-            return self.check(params)
-        return _check(params, f"{self.name} params", self.keys())
+# Everything the CLI knows about one model.  ``keys`` returns the params
+# schema, built when first asked for, so that defaults read from a model's
+# ``DEFAULT_*`` object run that model only when it is used (``check``
+# replaces it where the schema depends on a value, as the lattice's does on
+# its family).  ``build`` turns canonical params into what ``run`` takes;
+# ``load_config`` calls it too, so a typed constructor's error surfaces at
+# load time.  ``rows`` renders the run's data under ``header``.  ``charts``
+# maps each chart kind the model allows to the name of the ``svgplot``
+# function that draws it, the default first.  ``builtin`` names a scenario
+# and returns the ``DEFAULT_*`` object its params are read from.
+_ModelSpec = namedtuple("_ModelSpec", "name keys build run header rows charts builtin check",
+                        defaults=(None, None))
 
 
 # The lambdas look each model attribute up when called, so a function
@@ -594,7 +584,8 @@ def load_config(text: str) -> ScenarioConfig:
             )
         canonical = config.params
     else:
-        canonical = spec.canonical(params)
+        canonical = (spec.check(params) if spec.check is not None
+                     else _check(params, f"{model} params", spec.keys()))
         spec.build(canonical)  # typed constructors validate; a lattice builds nothing
     output = OutputSpec() if merged["output"] is None else _output_from_dict(merged["output"])
     return ScenarioConfig(model=model, params=canonical, output=output)
@@ -710,7 +701,7 @@ def _write_output(document: str, path: str | None) -> None:
         raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _render(config: ScenarioConfig, args: Any) -> tuple[str, str | None]:
+def _render(config: ScenarioConfig, args: object) -> tuple[str, str | None]:
     fmt = args.format or config.output.format
     if args.precision is not None and fmt != "csv":
         raise ValidationError(f"--precision needs CSV output, got format {fmt!r}")

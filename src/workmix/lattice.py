@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import cache
-from typing import Callable, Sequence
 
 from . import numerics  # read when called: a table lattice never runs numerics
 from ._frozen import Frozen

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from ._frozen import Frozen
 from .errors import BracketError, ComputationError, DomainError

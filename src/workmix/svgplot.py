@@ -53,7 +53,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / _TICK_TARGET
-    magnitude = 10.0 ** math.floor(math.log10(raw))
+    magnitude = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if not magnitude:  # a subnormal range: raw, or its power of ten, underflows to 0
+        return [lo]
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * magnitude >= raw:

@@ -506,6 +506,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("<polyline") == 3
 
+    def test_svg_of_a_subnormal_series(self, tmp_path, capsys):
+        # Shares 5e-324, 0, 0, ...: the y axis spans one subnormal step.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "aggregate",
+                                    "params": {"alpha": 0.0, "beta": 0.9, "x0": 5e-324},
+                                    "output": {"format": "svg"}}))
+        assert main(["run", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("<svg") and captured.out.endswith("</svg>\n")
+        assert captured.err == ""
+
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         bad = tmp_path / "bad.json"
@@ -1112,6 +1123,23 @@ class TestLatticeBuildCount:
         assert calls[0] == 0
         run_config(config)
         assert calls[0] == 1
+
+
+class TestLatticeRunContract:
+    """``LatticeRun(params).build_universe()`` rebuilds the universe a run used."""
+
+    @pytest.mark.parametrize("params", [
+        {"family": "linear", "n_tasks": 40},
+        {"family": "saturating", "n_tasks": 40, "limit_intercept": 3.0, "limit_slope": 1.0},
+        {"family": "table", "thetas": [0.2, 0.4, 0.6], "human_values": [1.0, 1.0, 1.0],
+         "machine_rows": [[0.5, 2.0, 0.5], [2.0, 2.0, 0.5]]},
+    ], ids=["linear", "saturating", "table"])
+    def test_final_allocation_inside_the_oracle(self, params):
+        config = load_config(json.dumps({"model": "lattice", "params": params}))
+        trace, n_tasks = run_config(config).data
+        universe = workmix.cli.LatticeRun(config.params).build_universe()
+        assert len(universe) == n_tasks
+        assert trace.final.automated <= workmix.lattice.fixed_point_oracle(universe).automated
 
 
 class TestLatticeQuantileWork:

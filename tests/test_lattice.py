@@ -1,5 +1,6 @@
 """Finite delegation lattice: monotone chains into a declared fixed point."""
 
+import collections.abc
 import math
 import re
 
@@ -194,6 +195,14 @@ class TestHelpers:
         assert all(a < b for a, b in zip(thetas, thetas[1:]))
         for i, theta in enumerate(thetas):
             assert theta == inv_reg_inc_beta((i + 0.5) / 9, shape)
+
+    def test_beta_quantiles_are_a_read_only_sequence(self):
+        thetas = beta_quantile_thetas(5, BetaShape(2, 5))
+        assert isinstance(thetas, collections.abc.Sequence)
+        assert thetas.index(thetas[3]) == 3 and thetas.count(thetas[1]) == 1
+        assert thetas[2] in thetas and list(reversed(thetas)) == list(thetas)[::-1]
+        with pytest.raises(TypeError):
+            thetas[0] = 0.5
 
     def test_fraction_and_fractions(self):
         assert Allocation(frozenset({0, 3})).fraction(8) == pytest.approx(0.25)

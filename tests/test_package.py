@@ -42,11 +42,11 @@ def test_star_import_binds_the_public_names():
     assert namespace["reg_inc_beta"] is numerics.reg_inc_beta
 
 
-def _fresh(code: str) -> list[str]:
+def _fresh(code: str, *options: str) -> list[str]:
     """What ``code`` prints, run in a fresh interpreter on this checkout's sources."""
     src = str(Path(workmix.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *options, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert done.returncode == 0, done.stderr
@@ -120,14 +120,45 @@ def test_no_command_imports_argparse(tmp_path, argv):
     assert _fresh(code) == []
 
 
+@pytest.mark.parametrize("argv,absent", [
+    (["scenario", "paper-aggregate"], ["enum", "re", "typing"]),
+    (["scenario", "paper-boundary", "--format", "svg", "--chart", "heatmap"],
+     ["enum", "re", "typing"]),
+    (["verify"], ["enum", "re", "typing"]),
+    (["list-scenarios"], ["enum", "re", "typing"]),
+    (["--help"], ["enum", "re", "typing"]),
+    # json imports re, and re imports enum.
+    (["run", "{config}"], ["typing"]),
+    (["list-scenarios", "--expand"], ["typing"]),
+], ids=["paper-aggregate", "paper-boundary-heatmap", "verify", "list-scenarios", "help", "run",
+        "list-scenarios-expand"])
+def test_clean_interpreter_loads_no_typing(tmp_path, argv, absent):
+    # Without site (whose .pth files may import typing), a command loads only
+    # what workmix itself imports.
+    config = tmp_path / "config.json"
+    config.write_text('{"model": "aggregate", "scenario": "paper-aggregate"}')
+    argv = [str(config) if word == "{config}" else word for word in argv]
+    code = (
+        "import io, sys\n"
+        "from workmix.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"assert main({argv!r}) == 0\n"
+        "sys.stdout = stdout\n"
+        f"print(*sorted({set(absent)!r} & set(sys.modules)))\n"
+    )
+    assert _fresh(code, "-S") == []
+
+
 def test_no_module_uses_typing_namedtuple():
-    # A typing.NamedTuple class takes about three times as long to create as a
-    # collections.namedtuple one, in every process that runs its module.
+    # No module imports typing: it brings re and enum into every process, and a
+    # typing.NamedTuple class takes about three times as long to create as a
+    # collections.namedtuple one.
     found = []
     for path in sorted(Path(workmix.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.ImportFrom) and node.module == "typing"
-                    and any(alias.name == "NamedTuple" for alias in node.names)
+                    or isinstance(node, ast.Import)
+                    and any(alias.name == "typing" for alias in node.names)
                     or isinstance(node, ast.Attribute) and node.attr == "NamedTuple"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

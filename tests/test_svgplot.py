@@ -35,6 +35,13 @@ class TestEdgeBytes:
         )
 
 
+class TestNiceTicks:
+    @pytest.mark.parametrize("hi", [5e-324, 2e-323])
+    def test_subnormal_range_is_one_tick(self, hi):
+        # A fifth of the range rounds to 0, or its power of ten underflows to 0.
+        assert svgplot._nice_ticks(0.0, hi) == [0.0]
+
+
 class TestEmptyInput:
     @pytest.mark.parametrize("render,message", [
         (lambda: svgplot.line_chart([], "x", "y"), "line_chart requires at least one point"),
