@@ -18,6 +18,7 @@ it solves for the machine intercept and the improvement rate.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from ._calendar import START_YEAR
@@ -52,6 +53,12 @@ class ContinuousParams(
             raise ParamError(f"beta_m must be positive, got {beta_m}")
         if not gamma > 0:
             raise ParamError(f"gamma must be positive, got {gamma}")
+        # With both finite, theta_t's numerator is a finite value plus gamma * t >= 0
+        # and its denominator is finite and positive, so theta_t is never NaN.
+        if not math.isfinite(alpha_m - alpha_h):
+            raise ParamError(f"alpha_m - alpha_h must be finite, got {alpha_m - alpha_h}")
+        if not math.isfinite(beta_h + beta_m):
+            raise ParamError(f"beta_h + beta_m must be finite, got {beta_h + beta_m}")
         return tuple.__new__(cls, (alpha_h, beta_h, alpha_m, beta_m, gamma, shape, start_year))
 
 

@@ -222,65 +222,79 @@ _HORIZON = (_START_YEAR, _Key("horizon_years", _as_int, HORIZON_YEARS,
                               minimum=1, maximum=_MAX_YEARS))
 _CATEGORY = _keys(_as_number, "x0", "machine_intercept", "machine_growth", "human_payoff")
 
-@functools.cache
-def _lattice_keys(family: str) -> tuple[_Key, ...]:
-    """A lattice family's keys, built on its first use.
-
-    Every family defaults to the lattice's own stop rule, and the Beta
-    families to the paper's calibrated boundary model on 1,000 tasks.
-    """
-    controls = (
-        _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
-        _Key("stability_window", _as_int, lat.DEFAULT_STABILITY_WINDOW, minimum=1),
-    )
-    if family == "table":
-        return (
+# Each lattice family: its keys, which sit between ``family`` and the stop
+# rule, and the universe it builds from canonical params.  The Beta families
+# default to the paper's calibrated boundary model on 1,000 tasks.
+_FAMILIES = {
+    "linear": (
+        lambda: _beta_keys("alpha_m", "beta_m", "gamma"),
+        lambda p: lat.linear_universe(
+            _thetas(p), p["alpha_h"], p["beta_h"], p["alpha_m"], p["beta_m"], p["gamma"]
+        ),
+    ),
+    "saturating": (
+        lambda: (*_keys(_as_number, "limit_intercept", "limit_slope"), *_beta_keys()),
+        lambda p: lat.saturating_universe(
+            _thetas(p), lat.Line(p["alpha_h"], p["beta_h"]),
+            lat.Line(p["limit_intercept"], -p["limit_slope"]),
+        ),
+    ),
+    "table": (
+        lambda: (
             _Key("thetas", _as_number_list, maximum=_MAX_TASKS),
             _Key("human_values", _as_number_list, maximum=_MAX_TASKS),
             _Key("machine_rows", _as_rows, maximum=_MAX_YEARS),
-            *controls,
-        )
+        ),
+        lambda p: lat.table_universe(p["thetas"], p["human_values"], p["machine_rows"]),
+    ),
+}
+
+
+def _beta_keys(*line: str) -> tuple[_Key, ...]:
+    """n_tasks, the Beta shape, the human line, then ``line``'s coefficients."""
     calibration = bnd.DEFAULT_BOUNDARY
-    shape = (
+    return (
         _Key("n_tasks", _as_int, 1000, minimum=1, maximum=_MAX_TASKS),
         *_keys(_as_shape, p=calibration.shape.p, q=calibration.shape.q),
-        *_keys(_as_number, alpha_h=calibration.alpha_h, beta_h=calibration.beta_h),
+        *_keys(_as_number, **{name: getattr(calibration, name)
+                              for name in ("alpha_h", "beta_h", *line)}),
     )
-    if family == "linear":
-        return (
-            *shape,
-            *_keys(_as_number, alpha_m=calibration.alpha_m, beta_m=calibration.beta_m,
-                   gamma=calibration.gamma),
-            *controls,
-        )
-    return (*_keys(_as_number, "limit_intercept", "limit_slope"), *shape, *controls)
 
 
-def _lattice_params(params: object) -> dict:
-    """Check keys, types and ranges of a lattice block for its family.
+def _thetas(p: dict) -> Sequence[float]:
+    return lat.beta_quantile_thetas(p["n_tasks"], numerics.BetaShape(p["p"], p["q"]))
 
-    Builds nothing: the universe's own invariants (a negative saturating
-    limit, duplicate or misshapen table data, gamma <= 0) surface when
-    run_config builds it, still before anything is written, with exit 1.
+
+def _lattice_keys(params: object) -> tuple[_Key, ...]:
+    """The keys of a lattice block's family: ``family`` first, the stop rule last.
+
+    The block and its family are checked before any other key.  A universe's
+    own invariants (a negative saturating limit, duplicate or misshapen table
+    data, gamma <= 0) surface when run_config builds it, with exit 1.
     """
     if not isinstance(params, dict):
         raise ValidationError("lattice params must be an object")
     family = params.get("family")
-    if family not in ("linear", "saturating", "table"):
+    if not isinstance(family, str) or family not in _FAMILIES:  # a list family is unhashable
+        *first, last = map(repr, _FAMILIES)
         raise ValidationError(
-            "lattice params require family 'linear', 'saturating', or 'table', "
-            f"got {family!r}"
+            f"lattice params require family {', '.join(first)}, or {last}, got {family!r}"
         )
-    rest = {key: value for key, value in params.items() if key != "family"}
-    return {"family": family, **_check(rest, "lattice params", _lattice_keys(family))}
+    return _family_keys(family)
 
 
 @functools.cache
-def _sweep_keys() -> tuple[_Key, ...]:
-    """The sweep's keys, built on first use.
+def _family_keys(family: str) -> tuple[_Key, ...]:
+    return (
+        _Key("family", _unchecked),
+        *_FAMILIES[family][0](),
+        _Key("max_years", _as_int, 60, minimum=1, maximum=_MAX_YEARS),
+        _Key("stability_window", _as_int, lat.DEFAULT_STABILITY_WINDOW, minimum=1),
+    )
 
-    The quantities a sweep holds fixed default to the paper's grid.
-    """
+
+def _sweep_keys(params: object) -> tuple[_Key, ...]:
+    """The sweep's keys: the quantities it holds fixed default to the paper's grid."""
     grid = swp.DEFAULT_GRID
     return (
         *_keys(_as_shape_list, "p_values", "q_values"),
@@ -290,18 +304,6 @@ def _sweep_keys() -> tuple[_Key, ...]:
                alpha_h=grid.alpha_h, beta_h=grid.beta_h, beta_m=grid.beta_m),
         _START_YEAR,
     )
-
-
-def _sweep_params(params: object) -> dict:
-    """Check a sweep block, then cap its number of cells."""
-    checked = _check(params, "sweep params", _sweep_keys())
-    cells = len(checked["p_values"]) * len(checked["q_values"]) * len(checked["gamma_values"])
-    if cells > _MAX_SWEEP_CELLS:
-        raise ValidationError(
-            f"p_values x q_values x gamma_values must give at most {_MAX_SWEEP_CELLS} "
-            f"cells, got {cells}"
-        )
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +345,30 @@ def _replicator_run(params: dict) -> tuple[rep.ReplicatorParams, int]:
     return built, horizon
 
 
+def _sweep_grid(params: dict) -> swp.GridSpec:
+    """Build a sweep's grid, refusing more than ``_MAX_SWEEP_CELLS`` cells."""
+    cells = len(params["p_values"]) * len(params["q_values"]) * len(params["gamma_values"])
+    if cells > _MAX_SWEEP_CELLS:
+        raise ValidationError(
+            f"p_values x q_values x gamma_values must give at most {_MAX_SWEEP_CELLS} "
+            f"cells, got {cells}"
+        )
+    return swp.GridSpec(
+        **{key: tuple(v) if isinstance(v, list) else v for key, v in params.items()}
+    )
+
+
 class LatticeRun(namedtuple("LatticeRun", "params")):
     """A lattice scenario: the universe recipe plus iteration controls."""
 
     __slots__ = ()
 
     def build_universe(self) -> lat.TaskUniverse:
-        p = self.params
-        if p["family"] == "table":
-            return lat.table_universe(p["thetas"], p["human_values"], p["machine_rows"])
-        thetas = lat.beta_quantile_thetas(p["n_tasks"], numerics.BetaShape(p["p"], p["q"]))
-        if p["family"] == "linear":
-            return lat.linear_universe(
-                thetas, p["alpha_h"], p["beta_h"], p["alpha_m"], p["beta_m"], p["gamma"]
-            )
-        return lat.saturating_universe(
-            thetas,
-            lat.Line(p["alpha_h"], p["beta_h"]),
-            lat.Line(p["limit_intercept"], -p["limit_slope"]),
-        )
+        return _FAMILIES[self.params["family"]][1](self.params)
 
-
-def _run_lattice(run: LatticeRun) -> tuple[lat.DelegationTrace, int]:
-    universe, p = run.build_universe(), run.params
-    return lat.run_delegation(universe, p["max_years"], p["stability_window"]), len(universe)
+    def run(self) -> tuple[lat.DelegationTrace, int]:
+        universe, p = self.build_universe(), self.params
+        return lat.run_delegation(universe, p["max_years"], p["stability_window"]), len(universe)
 
 
 # ---------------------------------------------------------------------------
@@ -393,103 +395,91 @@ def _lattice_rows(data: object, num: Callable[[float], str]) -> Iterable[str]:
 # The model registry
 # ---------------------------------------------------------------------------
 
-# Everything the CLI knows about one model.  ``keys`` returns the params
-# schema, built when first asked for, so that defaults read from a model's
-# ``DEFAULT_*`` object run that model only when it is used (``check``
-# replaces it where the schema depends on a value, as the lattice's does on
-# its family).  ``build`` turns canonical params into what ``run`` takes;
-# ``load_config`` calls it too, so a typed constructor's error surfaces at
-# load time.  ``rows`` renders the run's data under ``header``.  ``charts``
-# maps each chart kind the model allows to the name of the ``svgplot``
-# function that draws it, the default first.  ``builtin`` names a scenario
-# and returns the ``DEFAULT_*`` object its params are read from.
-_ModelSpec = namedtuple("_ModelSpec", "name keys build run header rows charts builtin check",
-                        defaults=(None, None))
+# Everything the CLI knows about one model.  ``keys`` returns the schema of a
+# params block (None for a builtin), built when asked for, so that defaults
+# read from a model's ``DEFAULT_*`` object run that model only when it is
+# used; only the lattice reads the block, whose family decides its keys.
+# ``build`` turns canonical params into what ``run`` takes; ``load_config``
+# calls it too, so a typed constructor's error surfaces at load time.
+# ``rows`` renders the run's data under ``header``.  ``charts`` maps each
+# chart kind the model allows to the name of the ``svgplot`` function that
+# draws it, the default first.  ``builtin`` names a scenario and returns the
+# ``DEFAULT_*`` object its params are read from.
+_ModelSpec = namedtuple("_ModelSpec", "keys build run header rows charts builtin",
+                        defaults=(None,))
 
 
 # The lambdas look each model attribute up when called, so a function
 # replaced on its module (by a test or a tracer) is the one that runs, and a
 # model's module runs only when a command first uses it.
 _SPECS = {
-    spec.name: spec
-    for spec in (
-        _ModelSpec(
-            name="aggregate",
-            keys=lambda: (*_keys(_as_number, "alpha", "beta", "x0"), *_HORIZON),
-            build=_with_horizon(lambda **params: agg.AggregateParams(**params)),
-            run=lambda built: agg.simulate(*built),
-            header="year,share",
-            rows=lambda data, num: (f"{p.year},{num(p.share)}" for p in data),
-            charts={"line": "share_line"},
-            builtin=("paper-aggregate", lambda: agg.DEFAULT_AGGREGATE),
+    "aggregate": _ModelSpec(
+        keys=lambda params: (*_keys(_as_number, "alpha", "beta", "x0"), *_HORIZON),
+        build=_with_horizon(lambda **params: agg.AggregateParams(**params)),
+        run=lambda built: agg.simulate(*built),
+        header="year,share",
+        rows=lambda data, num: (f"{p.year},{num(p.share)}" for p in data),
+        charts={"line": "share_line"},
+        builtin=("paper-aggregate", lambda: agg.DEFAULT_AGGREGATE),
+    ),
+    "replicator": _ModelSpec(
+        keys=lambda params: (
+            _Key("routine", _CATEGORY),
+            _Key("complex", _CATEGORY),
+            *_keys(_as_number, "sensitivity", "w_routine"),
+            *_HORIZON,
         ),
-        _ModelSpec(
-            name="replicator",
-            keys=lambda: (
-                _Key("routine", _CATEGORY),
-                _Key("complex", _CATEGORY),
-                *_keys(_as_number, "sensitivity", "w_routine"),
-                *_HORIZON,
-            ),
-            build=_replicator_run,
-            run=lambda built: rep.simulate_replicator(*built),
-            header="year,x_routine,x_complex,x_total",
-            rows=lambda data, num: (
-                f"{p.year},{num(p.x_routine)},{num(p.x_complex)},{num(p.x_total)}"
-                for p in data
-            ),
-            charts={"multi-line": "replicator_lines"},
-            builtin=("paper-replicator", lambda: rep.DEFAULT_REPLICATOR),
+        build=_replicator_run,
+        run=lambda built: rep.simulate_replicator(*built),
+        header="year,x_routine,x_complex,x_total",
+        rows=lambda data, num: (
+            f"{p.year},{num(p.x_routine)},{num(p.x_complex)},{num(p.x_total)}"
+            for p in data
         ),
-        _ModelSpec(
-            name="boundary",
-            keys=lambda: (
-                *_keys(_as_number, "alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"),
-                _Key("p", _as_shape, attr="shape.p"),
-                _Key("q", _as_shape, attr="shape.q"),
-                _START_YEAR,
-                _Key("horizon_years", _as_int, HORIZON_YEARS, minimum=0, maximum=_MAX_YEARS),
-            ),
-            build=_with_horizon(
-                lambda p, q, **rest: bnd.ContinuousParams(shape=numerics.BetaShape(p, q), **rest)
-            ),
-            run=lambda built: bnd.simulate_boundary(*built),
-            header="year,theta,share",
-            rows=lambda data, num: (
-                f"{p.year},{num(p.theta)},{num(p.share)}" for p in data
-            ),
-            charts={"line": "share_line", "heatmap": "boundary_heatmap"},
-            builtin=("paper-boundary", lambda: bnd.DEFAULT_BOUNDARY),
+        charts={"multi-line": "replicator_lines"},
+        builtin=("paper-replicator", lambda: rep.DEFAULT_REPLICATOR),
+    ),
+    "boundary": _ModelSpec(
+        keys=lambda params: (
+            *_keys(_as_number, "alpha_h", "beta_h", "alpha_m", "beta_m", "gamma"),
+            _Key("p", _as_shape, attr="shape.p"),
+            _Key("q", _as_shape, attr="shape.q"),
+            _START_YEAR,
+            _Key("horizon_years", _as_int, HORIZON_YEARS, minimum=0, maximum=_MAX_YEARS),
         ),
-        _ModelSpec(
-            name="lattice",
-            keys=lambda: (),
-            build=LatticeRun,
-            run=_run_lattice,
-            header="t,automated_count,share",
-            rows=_lattice_rows,
-            charts={"line": "lattice_line"},
-            check=_lattice_params,
+        build=_with_horizon(
+            lambda p, q, **rest: bnd.ContinuousParams(shape=numerics.BetaShape(p, q), **rest)
         ),
-        _ModelSpec(
-            name="sweep",
-            keys=_sweep_keys,
-            build=lambda params: swp.GridSpec(
-                **{key: tuple(v) if isinstance(v, list) else v for key, v in params.items()}
-            ),
-            run=lambda grid: swp.run_grid(grid),
-            header="p,q,gamma,alpha_M,final_share,cross50_year",
-            rows=_sweep_rows,
-            charts={"heatmap": "sweep_heatmap"},
-            builtin=("paper-grid", lambda: swp.DEFAULT_GRID),
-            check=_sweep_params,
+        run=lambda built: bnd.simulate_boundary(*built),
+        header="year,theta,share",
+        rows=lambda data, num: (
+            f"{p.year},{num(p.theta)},{num(p.share)}" for p in data
         ),
-    )
+        charts={"line": "share_line", "heatmap": "boundary_heatmap"},
+        builtin=("paper-boundary", lambda: bnd.DEFAULT_BOUNDARY),
+    ),
+    "lattice": _ModelSpec(
+        keys=_lattice_keys,
+        build=LatticeRun,
+        run=LatticeRun.run,
+        header="t,automated_count,share",
+        rows=_lattice_rows,
+        charts={"line": "lattice_line"},
+    ),
+    "sweep": _ModelSpec(
+        keys=_sweep_keys,
+        build=_sweep_grid,
+        run=lambda grid: swp.run_grid(grid),
+        header="p,q,gamma,alpha_M,final_share,cross50_year",
+        rows=_sweep_rows,
+        charts={"heatmap": "sweep_heatmap"},
+        builtin=("paper-grid", lambda: swp.DEFAULT_GRID),
+    ),
 }
 
 _CHARTS = tuple(dict.fromkeys(chart for spec in _SPECS.values() for chart in spec.charts))
 
-_BUILTINS = {spec.builtin[0]: spec for spec in _SPECS.values() if spec.builtin}
+_BUILTINS = {spec.builtin[0]: (model, spec) for model, spec in _SPECS.items() if spec.builtin}
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +495,8 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     if name not in _BUILTINS:
         known = ", ".join(_BUILTINS)
         raise ValidationError(f"unknown scenario {name!r} (builtins: {known})")
-    spec = _BUILTINS[name]
-    return ScenarioConfig(model=spec.name, params=_read(spec.builtin[1](), spec.keys()))
+    model, spec = _BUILTINS[name]
+    return ScenarioConfig(model=model, params=_read(spec.builtin[1](), spec.keys(None)))
 
 
 # CSV decimal places run from 0 to this, from a config or from --precision.
@@ -584,8 +574,7 @@ def load_config(text: str) -> ScenarioConfig:
             )
         canonical = config.params
     else:
-        canonical = (spec.check(params) if spec.check is not None
-                     else _check(params, f"{model} params", spec.keys()))
+        canonical = _check(params, f"{model} params", spec.keys(params))
         spec.build(canonical)  # typed constructors validate; a lattice builds nothing
     output = OutputSpec() if merged["output"] is None else _output_from_dict(merged["output"])
     return ScenarioConfig(model=model, params=canonical, output=output)

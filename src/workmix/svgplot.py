@@ -221,6 +221,12 @@ def heatmap(
         raise DomainError("cells must be len(x_values) rows of len(y_values)")
     x_edges = _cell_edges(list(x_values))
     y_edges = _cell_edges(list(y_values))
+    for edges, label in ((x_edges, x_label), (y_edges, y_label)):
+        if not all(map(math.isfinite, (*edges, edges[-1] - edges[0]))):
+            raise DomainError(
+                f"heatmap {label} axis does not fit in a double: its cells must span "
+                "a finite range"
+            )
     frame = (x_edges[0], x_edges[-1], y_edges[0], y_edges[-1])
     x_px = [_scale(edge, x_edges[0], x_edges[-1], _LEFT, _RIGHT) for edge in x_edges]
     y_px = [_scale(edge, y_edges[0], y_edges[-1], _BOTTOM, _TOP) for edge in y_edges]

@@ -77,6 +77,8 @@ class GridSpec(namedtuple("GridSpec", "p_values q_values gamma_values horizon_ye
             raise ParamError(
                 f"initial_share_target must lie in (0, 1), got {initial_share_target}"
             )
+        if not math.isfinite(beta_h + beta_m):
+            raise ParamError(f"beta_h + beta_m must be finite, got {beta_h + beta_m}")
         return tuple.__new__(
             cls,
             (p_values, q_values, gamma_values, horizon_years, initial_share_target,

@@ -1,5 +1,8 @@
 """Continuous task spectrum: moving indifference point under a Beta mass."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,31 @@ class TestParams:
         with pytest.raises(ParamError):
             ContinuousParams(alpha_h=1.0, beta_h=1.5, alpha_m=1.4,
                              beta_m=2.5, gamma=0.0, shape=BetaShape(2, 5))
+
+    @pytest.mark.parametrize("coefficients,message", [
+        ({"alpha_h": -1.7e308, "alpha_m": 1.7e308}, "alpha_m - alpha_h must be finite, got inf"),
+        ({"alpha_h": 1.7e308, "alpha_m": -1.7e308}, "alpha_m - alpha_h must be finite, got -inf"),
+        ({"beta_h": 1.7e308, "beta_m": 1.7e308}, "beta_h + beta_m must be finite, got inf"),
+    ])
+    def test_refuses_overflowing_coefficients(self, coefficients, message):
+        fields = dict(alpha_h=1.0, beta_h=1.5, alpha_m=1.4, beta_m=2.5, gamma=0.04,
+                      shape=BetaShape(2, 5))
+        with pytest.raises(ParamError) as excinfo:
+            ContinuousParams(**{**fields, **coefficients})
+        assert str(excinfo.value) == message
+
+    def test_admitted_extremes_give_no_nan(self):
+        """theta_t is finite plus gamma * t >= 0 over a finite positive sum: never NaN."""
+        big = 1.7e308
+        for alpha_h, alpha_m in itertools.product((-big, -1.0, 0.0, big), repeat=2):
+            for beta_h, beta_m, gamma in itertools.product((5e-324, 1.0, big), repeat=3):
+                try:
+                    params = ContinuousParams(alpha_h, beta_h, alpha_m, beta_m, gamma,
+                                              BetaShape(2, 5))
+                except ParamError:
+                    continue
+                for point in simulate_boundary(params, 3):
+                    assert not math.isnan(point.theta) and not math.isnan(point.share)
 
 
 class TestPayoffs:

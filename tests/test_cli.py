@@ -811,6 +811,13 @@ _CONFIG_ERRORS = [
     _case("boundary-shape-below-range", "boundary", dict(_BND, q=5e-4),
           "error: q must lie in [0.001, 1000], the range of Beta shapes the CDF is "
           "tested on, got 0.0005"),
+    # Coefficients whose difference or sum overflows would give theta_t = nan.
+    _case("boundary-overflow-param-error", "boundary",
+          dict(_BND, alpha_h=-1.7e308, alpha_m=1.7e308, beta_h=1.7e308, beta_m=1.7e308),
+          "error: alpha_m - alpha_h must be finite, got inf"),
+    _case("boundary-gap-overflow-param-error", "boundary",
+          dict(_BND, alpha_h=1.7e308, alpha_m=-1.7e308, gamma=1.7e308),
+          "error: alpha_m - alpha_h must be finite, got -inf"),
     # sweep
     _case("sweep-unknown-key", "sweep", dict(_SWP, r_values=[1]),
           "error: unknown key 'r_values' in sweep params"),
@@ -841,6 +848,24 @@ _CONFIG_ERRORS = [
                q_values=list(range(1, 101))),
           "error: p_values x q_values x gamma_values must give at most 10000 cells, "
           "got 10100"),
+    # The cap is checked before the grid's own invariants.
+    _case("sweep-cells-cap-before-order", "sweep",
+          dict(_SWP, p_values=[2 - i / 100 for i in range(101)],
+               q_values=list(range(1, 101))),
+          "error: p_values x q_values x gamma_values must give at most 10000 cells, "
+          "got 10100"),
+    _case("sweep-not-object", "sweep", "grid",
+          "error: sweep params must be an object, got str"),
+    _case("grid-overflow-param-error", "sweep", dict(_SWP, beta_h=1.7e308, beta_m=1.7e308),
+          "error: beta_h + beta_m must be finite, got inf"),
+    # Admitted at load: the recalibrated alpha_m overflows only when the grid runs.
+    _case("sweep-intercept-overflow", "sweep",
+          dict(_SWP, alpha_h=1.7e308, beta_h=0.85e308, beta_m=0.85e308,
+               initial_share_target=0.9),
+          "error: alpha_m - alpha_h must be finite, got inf"),
+    _case("sweep-heatmap-axis-overflow", "sweep", dict(_SWP, gamma_values=[1e308, 1.7e308]),
+          "error: heatmap gamma axis does not fit in a double: its cells must span "
+          "a finite range", output={"format": "svg"}),
     # lattice
     _case("lattice-not-object", "lattice", [1], "error: lattice params must be an object"),
     _case("lattice-family", "lattice", {"family": "cubic"},
@@ -851,6 +876,9 @@ _CONFIG_ERRORS = [
           "got None"),
     _case("lattice-unknown-key", "lattice", {"family": "linear", "rows": 1},
           "error: unknown key 'rows' in lattice params"),
+    _case("lattice-family-before-keys", "lattice", {"family": "cubic", "rows": 1},
+          "error: lattice params require family 'linear', 'saturating', or 'table', "
+          "got 'cubic'"),
     _case("lattice-foreign-key", "lattice", {"family": "table", "thetas": [0.5],
                                              "human_values": [1], "machine_rows": [[1]],
                                              "gamma": 0.1},
@@ -1021,7 +1049,7 @@ def _replaced(block, path, value):
 
 
 class TestConfigFuzz:
-    """No config value makes a run exit 2: a refused one exits 1 with one error line."""
+    """No value makes a run exit 2 or print nan: a refused one exits 1 with one error line."""
 
     @pytest.mark.parametrize("model,params", [
         pytest.param(model, params, id=name) for name, model, params in _FUZZ_BASES
@@ -1036,7 +1064,7 @@ class TestConfigFuzz:
                 code = main(["run", str(path)])
                 out, err = capsys.readouterr()
                 refused = code == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err)
-                if not (code == 0 and err == "" or refused):
+                if not (code == 0 and err == "" and "nan" not in out or refused):
                     wrong.append((key_path, value, code, err))
         assert wrong == []
 
@@ -1250,6 +1278,18 @@ class TestOutErrors:
 
 
 class TestMainBranches:
+    def test_csv_of_an_overflowing_heatmap_axis(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "sweep",
+                                    "params": dict(_SWP, gamma_values=[1e308, 1.7e308])}))
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr() == (
+            "p,q,gamma,alpha_M,final_share,cross50_year\n"
+            "2.0,5,1e+308,1.370381,1.000000,2026\n"
+            "2.0,5,1.7e+308,1.370381,1.000000,2026\n",
+            "",
+        )
+
     def test_sweep_heatmap_needs_one_q_value(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"model": "sweep", "params": dict(_SWP, q_values=[3, 5])}))

@@ -42,6 +42,23 @@ class TestNiceTicks:
         assert svgplot._nice_ticks(0.0, hi) == [0.0]
 
 
+class TestOverflowingAxis:
+    """Cell edges past a double's range are refused, never drawn at inf or nan."""
+
+    @pytest.mark.parametrize("x_values,y_values,label", [
+        ([1e308, 1.7e308], [1.0], "x"),      # the last edge overflows
+        ([1.6e308, 1.7e308], [1.0], "x"),    # only the midpoint overflows
+        ([1.0], [1e-300, 1.1e308], "y"),     # every edge is finite, their span is not
+    ], ids=["last-edge", "midpoint", "span"])
+    def test_refused(self, x_values, y_values, label):
+        cells = [[0.5] * len(y_values) for _ in x_values]
+        with pytest.raises(DomainError) as excinfo:
+            svgplot.heatmap(x_values, y_values, cells, "x", "y")
+        assert str(excinfo.value) == (
+            f"heatmap {label} axis does not fit in a double: its cells must span a finite range"
+        )
+
+
 class TestEmptyInput:
     @pytest.mark.parametrize("render,message", [
         (lambda: svgplot.line_chart([], "x", "y"), "line_chart requires at least one point"),

@@ -87,6 +87,8 @@ class TestGridSpec:
             GridSpec((1.5,), (5,), (0.03,), 0, 0.10)
         with pytest.raises(ParamError):
             GridSpec((1.5,), (5,), (0.03,), 20, 1.0)
+        with pytest.raises(ParamError, match="beta_h \\+ beta_m must be finite, got inf"):
+            GridSpec((1.5,), (5,), (0.03,), 20, 0.10, beta_h=1.7e308, beta_m=1.7e308)
 
     @pytest.mark.parametrize("axes", [((-1.0, 2.0), (5,), (0.03,)), ((1.5,), (5,), (0.0,))])
     def test_rejects_non_positive_axis_value(self, axes):
