@@ -111,15 +111,25 @@ def automated_share(t: int, params: ContinuousParams) -> float:
 def simulate_boundary(
     params: ContinuousParams, horizon_years: int
 ) -> list[BoundaryPoint]:
-    """Boundary and share for t = 0 .. horizon_years inclusive."""
+    """Boundary and share for t = 0 .. horizon_years inclusive.
+
+    Raises DomainError at the first year whose boundary overflows a double,
+    which the output could only print as inf.
+    """
     if horizon_years < 0:
         raise DomainError(f"horizon_years must be non-negative, got {horizon_years}")
     points = []
     for t in range(horizon_years + 1):
+        theta = automation_boundary(t, params)
+        if not math.isfinite(theta):
+            raise DomainError(
+                "theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
+                f"finite, got {theta} at t={t}"
+            )
         points.append(
             BoundaryPoint(
                 year=params.start_year + t,
-                theta=automation_boundary(t, params),
+                theta=theta,
                 share=automated_share(t, params),
             )
         )

@@ -227,6 +227,13 @@ def heatmap(
                 f"heatmap {label} axis does not fit in a double: its cells must span "
                 "a finite range"
             )
+    # One infinite cell would make the colour scale infinite and every finite cell white.
+    for row, x in zip(cells, x_values):
+        for value, y in zip(row, y_values):
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"heatmap cell at {x_label}={x}, {y_label}={y} must be finite, got {value}"
+                )
     frame = (x_edges[0], x_edges[-1], y_edges[0], y_edges[-1])
     x_px = [_scale(edge, x_edges[0], x_edges[-1], _LEFT, _RIGHT) for edge in x_edges]
     y_px = [_scale(edge, y_edges[0], y_edges[-1], _BOTTOM, _TOP) for edge in y_edges]

@@ -150,6 +150,12 @@ def run_grid(grid: GridSpec) -> list[GridCell]:
             shape = BetaShape(float(p), float(q))
             theta_start = inv_reg_inc_beta(grid.initial_share_target, shape)
             alpha_m = grid.alpha_h + (grid.beta_m + grid.beta_h) * theta_start
+            if not math.isfinite(alpha_m - grid.alpha_h):
+                raise ParamError(
+                    "the recalibrated intercept alpha_h + (beta_h + beta_m) * theta_0 "
+                    f"overflows a double at p={p}, q={q}, where theta_0 is the Beta(p, q) "
+                    "quantile at initial_share_target"
+                )
             bracket = _median_bracket(shape)
             for gamma in grid.gamma_values:
                 params = ContinuousParams(

@@ -42,7 +42,7 @@ from workmix import (
 )
 from workmix.cli import main
 
-from simpson_oracle import simpson_beta_cdf
+from exact_beta import beta_cdf
 
 ORACLE_SHAPES = [
     (1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (2.0, 5.0), (5.0, 2.0), (3.0, 5.0),
@@ -205,11 +205,7 @@ def test_criterion_07_sweep_grid():
             shape=BetaShape(p, float(cell.q)),
         )
         theta_end = min(1.0, max(0.0, automation_boundary(20, params)))
-        n = int(p) + int(cell.q) - 1
-        tail = sum(
-            math.comb(n, k) * theta_end**k * (1.0 - theta_end) ** (n - k)
-            for k in range(int(p), n + 1)
-        )
+        tail = beta_cdf(theta_end, int(p), int(cell.q))
         if abs(cell.final_share - tail) > 1e-9:
             failures.append(f"binomial tail mismatch at (p={p}, g={cell.gamma})")
     if elapsed >= 5.0:
@@ -219,20 +215,20 @@ def test_criterion_07_sweep_grid():
 
 
 def test_criterion_08_special_functions():
+    mpmath = pytest.importorskip("mpmath")  # the reference for fractional shapes
     failures = []
     xs = [i / 100.0 for i in range(1, 100)]
     for p, q in ORACLE_SHAPES:
         shape = BetaShape(p, q)
-        # Fractional shape parameters below 2 leave a derivative singularity
-        # at an endpoint, slowing Simpson convergence; give those a much
-        # finer grid so the oracle itself is good to ~4e-9.
-        steps = 400_000 if min(p, q) < 2.0 and min(p, q) % 1.0 else 20_000
         for x in xs:
-            direct = reg_inc_beta(x, shape)
-            quad = simpson_beta_cdf(x, shape, steps)
-            if abs(direct - quad) >= 1e-8:
-                failures.append(f"oracle gap {abs(direct - quad):.2e} at "
-                                f"(p={p}, q={q}, x={x})")
+            if p % 1.0 or q % 1.0:
+                with mpmath.workdps(40):
+                    want = mpmath.betainc(p, q, 0, x, regularized=True)
+            else:
+                want = beta_cdf(x, int(p), int(q))
+            gap = abs(reg_inc_beta(x, shape) - float(want))
+            if gap >= 1e-8:
+                failures.append(f"reference gap {gap:.2e} at (p={p}, q={q}, x={x})")
                 break
         mirror = BetaShape(q, p)
         for x in xs:
@@ -245,7 +241,7 @@ def test_criterion_08_special_functions():
             if abs(reg_inc_beta(t, shape) - x) >= 1e-9:
                 failures.append(f"round trip at (p={p}, q={q}, target={x})")
                 break
-    report(8, "special functions: quadrature 1e-8, symmetry 1e-10, inverse 1e-9",
+    report(8, "special functions: exact reference 1e-8, symmetry 1e-10, inverse 1e-9",
            failures)
 
 

@@ -58,7 +58,10 @@ class TestParams:
         assert str(excinfo.value) == message
 
     def test_admitted_extremes_give_no_nan(self):
-        """theta_t is finite plus gamma * t >= 0 over a finite positive sum: never NaN."""
+        """theta_t is finite plus gamma * t >= 0 over a finite positive sum: never NaN.
+
+        It may overflow to inf, which simulate_boundary refuses rather than returns.
+        """
         big = 1.7e308
         for alpha_h, alpha_m in itertools.product((-big, -1.0, 0.0, big), repeat=2):
             for beta_h, beta_m, gamma in itertools.product((5e-324, 1.0, big), repeat=3):
@@ -67,8 +70,14 @@ class TestParams:
                                               BetaShape(2, 5))
                 except ParamError:
                     continue
-                for point in simulate_boundary(params, 3):
-                    assert not math.isnan(point.theta) and not math.isnan(point.share)
+                for t in range(4):
+                    assert not math.isnan(automation_boundary(t, params))
+                    assert not math.isnan(automated_share(t, params))
+                try:
+                    points = simulate_boundary(params, 3)
+                except DomainError:
+                    continue
+                assert all(math.isfinite(point.theta) for point in points)
 
 
 class TestPayoffs:

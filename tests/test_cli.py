@@ -1,6 +1,7 @@
 """Command-line behavior: strict configs, byte-stable output, exit codes."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -818,6 +819,19 @@ _CONFIG_ERRORS = [
     _case("boundary-gap-overflow-param-error", "boundary",
           dict(_BND, alpha_h=1.7e308, alpha_m=-1.7e308, gamma=1.7e308),
           "error: alpha_m - alpha_h must be finite, got -inf"),
+    # Admitted coefficients whose theta_t overflows: refused at the first such year.
+    _case("boundary-theta-overflow", "boundary",
+          dict(_BND, alpha_h=0, alpha_m=1.7e308, beta_h=1, beta_m=1, gamma=1.7e308),
+          "error: theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
+          "finite, got inf at t=1"),
+    _case("boundary-theta-subnormal-slopes", "boundary",
+          dict(_BND, beta_h=5e-324, beta_m=5e-324),
+          "error: theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
+          "finite, got inf at t=0"),
+    _case("boundary-theta-negative-overflow", "boundary",
+          dict(_BND, alpha_m=-1.0, beta_h=5e-324, beta_m=5e-324),
+          "error: theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
+          "finite, got -inf at t=0"),
     # sweep
     _case("sweep-unknown-key", "sweep", dict(_SWP, r_values=[1]),
           "error: unknown key 'r_values' in sweep params"),
@@ -862,7 +876,9 @@ _CONFIG_ERRORS = [
     _case("sweep-intercept-overflow", "sweep",
           dict(_SWP, alpha_h=1.7e308, beta_h=0.85e308, beta_m=0.85e308,
                initial_share_target=0.9),
-          "error: alpha_m - alpha_h must be finite, got inf"),
+          "error: the recalibrated intercept alpha_h + (beta_h + beta_m) * theta_0 "
+          "overflows a double at p=2.0, q=5, where theta_0 is the Beta(p, q) quantile at "
+          "initial_share_target"),
     _case("sweep-heatmap-axis-overflow", "sweep", dict(_SWP, gamma_values=[1e308, 1.7e308]),
           "error: heatmap gamma axis does not fit in a double: its cells must span "
           "a finite range", output={"format": "svg"}),
@@ -1048,25 +1064,50 @@ def _replaced(block, path, value):
     return copy
 
 
-class TestConfigFuzz:
-    """No value makes a run exit 2 or print nan: a refused one exits 1 with one error line."""
+def _misbehaving(tmp_path, capsys, model, blocks):
+    """The (label, params) blocks whose run neither answers nor is refused cleanly.
 
-    @pytest.mark.parametrize("model,params", [
-        pytest.param(model, params, id=name) for name, model, params in _FUZZ_BASES
-    ])
+    An answer exits 0 with nothing on stderr and no nan or inf in its output;
+    a refusal exits 1 with one error line and nothing on stdout.
+    """
+    path = tmp_path / "config.json"
+    wrong = []
+    for label, params in blocks:
+        path.write_text(json.dumps({"model": model, "params": params}))
+        code = main(["run", str(path)])
+        out, err = capsys.readouterr()
+        answered = code == 0 and err == "" and "nan" not in out and "inf" not in out
+        refused = code == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err)
+        if not (answered or refused):
+            wrong.append((label, code, err))
+    return wrong
+
+
+_FUZZ_BASE_PARAMS = [
+    pytest.param(model, params, id=name) for name, model, params in _FUZZ_BASES
+]
+
+
+class TestConfigFuzz:
+    """No value makes a run exit 2 or print nan or inf: a refused one exits 1 with one line."""
+
+    @pytest.mark.parametrize("model,params", _FUZZ_BASE_PARAMS)
     def test_every_value_exits_zero_or_one(self, tmp_path, capsys, model, params):
-        path = tmp_path / "config.json"
-        wrong = []
-        for key_path in _numeric_paths(params):
-            for value in _FUZZ_VALUES:
-                document = {"model": model, "params": _replaced(params, key_path, value)}
-                path.write_text(json.dumps(document))
-                code = main(["run", str(path)])
-                out, err = capsys.readouterr()
-                refused = code == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err)
-                if not (code == 0 and err == "" and "nan" not in out or refused):
-                    wrong.append((key_path, value, code, err))
-        assert wrong == []
+        blocks = (
+            ((key_path, value), _replaced(params, key_path, value))
+            for key_path in _numeric_paths(params)
+            for value in _FUZZ_VALUES
+        )
+        assert _misbehaving(tmp_path, capsys, model, blocks) == []
+
+    @pytest.mark.parametrize("model,params", _FUZZ_BASE_PARAMS)
+    def test_every_pair_of_extremes_exits_zero_or_one(self, tmp_path, capsys, model, params):
+        blocks = (
+            ((first, a, second, b), _replaced(_replaced(params, first, a), second, b))
+            for first, second in itertools.combinations(_numeric_paths(params), 2)
+            for a, b in itertools.product((1.7e308, -1.7e308, 5e-324, 0), repeat=2)
+        )
+        assert _misbehaving(tmp_path, capsys, model, blocks) == []
 
     def test_covers_every_numeric_param(self):
         counts = [len(list(_numeric_paths(params))) for _, _, params in _FUZZ_BASES]
@@ -1289,6 +1330,22 @@ class TestMainBranches:
             "2.0,5,1.7e+308,1.370381,1.000000,2026\n",
             "",
         )
+
+    def test_heatmap_with_an_infinite_cell(self, tmp_path, capsys):
+        # theta_t stays finite, but the payoff advantage overflows from 2026 on.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "boundary", "params": dict(
+            _BND, alpha_h=1e308, alpha_m=1e308, gamma=1e308, beta_h=1, beta_m=1,
+            horizon_years=1)}))
+        target = tmp_path / "chart.svg"
+        argv = ["run", str(path), "--format", "svg", "--chart", "heatmap", "--out", str(target)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: heatmap cell at year=2026.0, theta=0.0 must be finite, got inf\n"
+        )
+        assert not target.exists()
+        assert main(["run", str(path)]) == 0  # its CSV has no advantage column
+        assert capsys.readouterr().err == ""
 
     def test_sweep_heatmap_needs_one_q_value(self, tmp_path, capsys):
         path = tmp_path / "config.json"

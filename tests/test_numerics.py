@@ -1,14 +1,16 @@
 """Special-function tests: two independent routes to every value.
 
-The continued-fraction implementation is checked against (a) an exact
-binomial-tail identity for integer shapes, (b) the Simpson quadrature
-oracle for general shapes (the library's pure-Python one, and its NumPy twin
-in ``simpson_oracle`` for the heavy loops), and (c) frozen values computed
-from those two routes before the implementation existed.
+The continued-fraction implementation is checked against (a) the exact
+binomial-tail value for integer shapes (``exact_beta``, standard library
+only), (b) 40-digit mpmath for fractional shapes, and (c) frozen values
+computed from the binomial tail and Simpson quadrature before the
+implementation existed.
 """
 
 import math
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -35,7 +37,7 @@ from workmix import (
     reg_inc_beta,
 )
 
-from simpson_oracle import simpson_beta_cdf
+from exact_beta import beta_cdf, root_distance, ulps
 
 SHAPE_2_5 = BetaShape(2.0, 5.0)
 
@@ -46,16 +48,14 @@ ORACLE_SHAPES = [
 ]
 
 
-def binomial_tail_cdf(x, p, q):
-    """Exact Beta(p, q) CDF for integer shapes, via the binomial tail.
-
-    I_x(p, q) = P[Binomial(p + q - 1, x) >= p], which needs only integer
-    combinatorics, so it shares no code path with the continued fraction.
-    """
-    n = p + q - 1
-    return sum(
-        math.comb(n, k) * x**k * (1.0 - x) ** (n - k) for k in range(p, n + 1)
-    )
+def reference_cdf(x, p, q):
+    """I_x(p, q): exact for integer shapes, 40-digit mpmath for the others."""
+    if p == int(p) and q == int(q):
+        return float(beta_cdf(x, int(p), int(q)))
+    if mpmath is None:
+        pytest.skip("a fractional shape needs mpmath")
+    with mpmath.workdps(40):
+        return float(mpmath.betainc(p, q, 0, x, regularized=True))
 
 
 class TestLogGamma:
@@ -121,25 +121,17 @@ class TestRegIncBeta:
             shape = BetaShape(float(p), float(q))
             for i in range(1, 20):
                 x = i / 20.0
-                want = binomial_tail_cdf(x, p, q)
+                want = float(beta_cdf(x, p, q))
                 assert reg_inc_beta(x, shape) == pytest.approx(
                     want, abs=1e-12
                 ), (p, q, x)
 
-    def test_against_simpson_oracle(self):
+    def test_against_reference(self):
         for p, q in ORACLE_SHAPES:
             shape = BetaShape(p, q)
-            # Fractional p below 2 puts a derivative singularity at t = 0,
-            # slowing Simpson from h^4 to roughly h^1.5; give that shape a
-            # looser bound here (the acceptance suite retests it at 1e-8
-            # with a much finer grid).
-            tol = 5e-7 if (p, q) == (1.5, 5.0) else 1e-9
             for i in range(1, 20):
                 x = i / 20.0
-                want = simpson_beta_cdf(x, shape, 20000)
-                assert reg_inc_beta(x, shape) == pytest.approx(
-                    want, abs=tol
-                ), (p, q, x)
+                assert abs(reg_inc_beta(x, shape) - reference_cdf(x, p, q)) <= 1e-12, (p, q, x)
 
     def test_symmetry_identity(self):
         for p, q in [(0.5, 0.5), (0.7, 3.0), (2.0, 5.0), (9.0, 14.0), (20.0, 20.0)]:
@@ -318,6 +310,52 @@ class TestInverseAgainstBisection:
         assert all(a < b for a, b in zip(thetas, thetas[1:]))
 
 
+class TestExactReference:
+    def test_closed_forms(self):
+        for x in (0.0, 1e-300, 0.3, 0.5, 0.7, 1.0):
+            assert beta_cdf(x, 1, 1) == Fraction(x)
+            assert beta_cdf(x, 1, 4) == 1 - (1 - Fraction(x)) ** 4
+            assert beta_cdf(x, 3, 5) + beta_cdf(1 - Fraction(x), 5, 3) == 1
+        assert beta_cdf(0.5, 7, 7) == Fraction(1, 2)
+
+    def test_root_distance_counts_doubles(self):
+        # I_x(1, 1) = x: the root of target 0.3 is the double 0.3 itself.
+        below, above = math.nextafter(0.3, 0.0), math.nextafter(0.3, 1.0)
+        assert [root_distance(x, 0.3, 1, 1, 5) for x in (below, 0.3, above)] == [0, 0, 1]
+        assert root_distance(math.nextafter(below, 0.0), 0.3, 1, 1, 5) == 1
+        assert root_distance(0.5, 0.3, 1, 1, 5) == 6
+
+
+class TestExactAccuracy:
+    """Worst errors on fixed samples, against the exact value for integer shapes.
+
+    Each bound is the error measured on x86-64 Linux (glibc) plus about 10%,
+    so a change that makes the numerics less accurate fails here.
+    """
+
+    @pytest.mark.parametrize("p,q,bound", [
+        # Measured: 22.7, 36.8, 109.1 and 370.7 ulps.
+        (2, 5, 25), (5, 2, 40), (10, 30, 120), (50, 50, 400),
+    ])
+    def test_cdf_error_in_ulps(self, p, q, bound):
+        shape = BetaShape(float(p), float(q))
+        rng = random.Random(1)
+        for x in (rng.random() for _ in range(400)):
+            assert ulps(reg_inc_beta(x, shape), beta_cdf(x, p, q)) <= bound, (p, q, x)
+
+    @pytest.mark.parametrize("p,q,bound", [
+        # Measured: 17, 7 and 33 doubles.
+        (2, 5, 20), (5, 2, 8), (50, 50, 36),
+    ])
+    def test_inverse_distance_from_exact_root(self, p, q, bound):
+        # 250 of the 1000 lattice targets (i + 1/2) / 1000.
+        shape = BetaShape(float(p), float(q))
+        for i in random.Random(1).sample(range(1000), 250):
+            target = (i + 0.5) / 1000
+            x = inv_reg_inc_beta(target, shape)
+            assert root_distance(x, target, p, q, bound) <= bound, (p, q, target)
+
+
 class TestWorkCounts:
     def test_log_beta_once_per_shape(self, monkeypatch):
         calls = count_calls(monkeypatch, workmix.numerics, "log_beta")
@@ -354,18 +392,28 @@ class TestQuadratureOracle:
     def test_high_resolution_tightens(self):
         coarse = oracle_beta_cdf(0.37, BetaShape(3.0, 4.0), 1000)
         fine = oracle_beta_cdf(0.37, BetaShape(3.0, 4.0), 100000)
-        exact = binomial_tail_cdf(0.37, 3, 4)
+        exact = float(beta_cdf(0.37, 3, 4))
         assert abs(fine - exact) <= abs(coarse - exact) + 1e-15
         assert fine == pytest.approx(exact, abs=1e-12)
 
-    @pytest.mark.parametrize("steps", [1000, 20000])
-    def test_matches_numpy_simpson(self, steps):
-        for p, q in [(2.0, 5.0), (1.5, 5.0), (12.0, 8.0)]:
-            shape = BetaShape(p, q)
-            for i in range(1, 20):
-                x = i / 20.0
-                got = oracle_beta_cdf(x, shape, steps)
-                assert abs(got - simpson_beta_cdf(x, shape, steps)) <= 1e-15, (p, q, x)
+    def test_matches_exact_value(self):
+        for p, q in [(2, 5), (3, 4), (12, 8)]:
+            for x in (i / 10.0 for i in range(1, 10)):
+                got = oracle_beta_cdf(x, BetaShape(float(p), float(q)), 20000)
+                assert abs(got - beta_cdf(x, p, q)) <= 4e-15, (p, q, x)
+
+    @pytest.mark.parametrize("p,q,order", [
+        (2.0, 5.0, 4.0), (3.0, 4.0, 4.0), (12.0, 8.0, 4.0),
+        (1.5, 5.0, 1.5),  # the density's derivative is singular at 0
+    ])
+    def test_convergence_order(self, p, q, order):
+        # Halving the step divides the error by about 2 ** order, where it is above rounding.
+        shape = BetaShape(p, q)
+        for x in (i / 20.0 for i in range(1, 20)):
+            exact = reference_cdf(x, p, q)
+            coarse, fine = (abs(oracle_beta_cdf(x, shape, n) - exact) for n in (1000, 2000))
+            if coarse > 1e-13:
+                assert math.log2(coarse / fine) >= order - 0.1, (p, q, x)
 
     def test_rejects_singular_shapes_and_thin_grids(self):
         with pytest.raises(DomainError):

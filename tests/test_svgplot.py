@@ -1,6 +1,7 @@
 """SVG charts called directly: edge inputs pinned by SHA-256, empty inputs refused."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -56,6 +57,19 @@ class TestOverflowingAxis:
             svgplot.heatmap(x_values, y_values, cells, "x", "y")
         assert str(excinfo.value) == (
             f"heatmap {label} axis does not fit in a double: its cells must span a finite range"
+        )
+
+
+class TestNonFiniteCell:
+    """One infinite cell would leave every finite cell white; any non-finite cell is refused."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_refused(self, value):
+        cells = [[1.0, 2.0], [3.0, value]]
+        with pytest.raises(DomainError) as excinfo:
+            svgplot.heatmap([2025.0, 2026.0], [0.0, 0.5], cells, "year", "theta")
+        assert str(excinfo.value) == (
+            f"heatmap cell at year=2026.0, theta=0.5 must be finite, got {value}"
         )
 
 

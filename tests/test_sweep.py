@@ -24,13 +24,7 @@ from workmix import (
     run_grid,
 )
 
-
-def binomial_tail_cdf(x, p, q):
-    """Exact Beta CDF for integer shapes; independent of the package route."""
-    n = p + q - 1
-    return sum(
-        math.comb(n, k) * x**k * (1.0 - x) ** (n - k) for k in range(p, n + 1)
-    )
+from exact_beta import beta_cdf
 
 
 def scan_cross50(params, horizon):
@@ -171,8 +165,8 @@ class TestRunGrid:
                     / (params.beta_m + params.beta_h),
                 ),
             )
-            want = binomial_tail_cdf(theta_end, int(cell.p), int(cell.q))
-            assert cell.final_share == pytest.approx(want, abs=1e-9)
+            want = beta_cdf(theta_end, int(cell.p), int(cell.q))
+            assert abs(cell.final_share - want) <= 1e-9
 
 
 class TestCross50:
