@@ -101,11 +101,14 @@ def automation_boundary(t: int, params: ContinuousParams) -> float:
     )
 
 
+def _share_below(theta: float, shape: BetaShape) -> float:
+    """Beta(p, q) mass at or below a raw boundary, clamped into [0, 1] first."""
+    return reg_inc_beta(min(1.0, max(0.0, theta)), shape)
+
+
 def automated_share(t: int, params: ContinuousParams) -> float:
     """Fraction of tasks at or below the boundary under the Beta intricacy law."""
-    theta = automation_boundary(t, params)
-    clamped = min(1.0, max(0.0, theta))
-    return reg_inc_beta(clamped, params.shape)
+    return _share_below(automation_boundary(t, params), params.shape)
 
 
 def simulate_boundary(
@@ -130,7 +133,7 @@ def simulate_boundary(
             BoundaryPoint(
                 year=params.start_year + t,
                 theta=theta,
-                share=automated_share(t, params),
+                share=_share_below(theta, params.shape),
             )
         )
     return points

@@ -77,6 +77,10 @@ class GridSpec(namedtuple("GridSpec", "p_values q_values gamma_values horizon_ye
             raise ParamError(
                 f"initial_share_target must lie in (0, 1), got {initial_share_target}"
             )
+        if not beta_h > 0:
+            raise ParamError(f"beta_h must be positive, got {beta_h}")
+        if not beta_m > 0:
+            raise ParamError(f"beta_m must be positive, got {beta_m}")
         if not math.isfinite(beta_h + beta_m):
             raise ParamError(f"beta_h + beta_m must be finite, got {beta_h + beta_m}")
         return tuple.__new__(

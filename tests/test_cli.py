@@ -1,6 +1,5 @@
 """Command-line behavior: strict configs, byte-stable output, exit codes."""
 
-import hashlib
 import itertools
 import json
 import os
@@ -10,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from frozen_outputs import check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -261,105 +261,17 @@ class TestEmitSvg:
             emit_svg(result, "spiral")
 
 
-# The small linear lattice the cli-scenarios benchmark draws as a line chart.
-_LATTICE_LINE = {"family": "linear", "n_tasks": 50, "p": 3.0, "q": 3.0, "gamma": 0.06}
-
-_SVG_DIGESTS = [
-    pytest.param("paper-aggregate", "line",
-                 "334f3e0fe7df82e36ddd5c0da72698d367db3e89bd9d99f9f247c86e6ceaaf77",
-                 id="aggregate-line"),
-    pytest.param("paper-replicator", "multi-line",
-                 "8d9672b0d2ff912273e39a5bdcceaaefee0cfdf867b7ca3dfe8fa4b75202f90f",
-                 id="replicator-multi-line"),
-    pytest.param("paper-boundary", "line",
-                 "09dc13ed37ef01908fb33ab69f43b695b7167aaa782eb537a30c9139bde3498a",
-                 id="boundary-line"),
-    pytest.param("paper-boundary", "heatmap",
-                 "fc2557dcd258de56ec4e72b5bdd5b9866e56bfae9c75735310f25d8698d4f1f4",
-                 id="boundary-heatmap"),
-    pytest.param("paper-grid", "heatmap",
-                 "2da88ec26983881548be322d7e3089aeddfc2afe193dcb43138e3f75aec82ded",
-                 id="grid-heatmap"),
-    pytest.param(_LATTICE_LINE, "line",
-                 "906b2c6e006786fb542bb9b3510ab5b2d461d8b6f5c3d9e1e3d2ea9cab8da75b",
-                 id="lattice-line"),
-]
-
-
 class TestSvgBytes:
-    """Every model and chart pair renders to the same bytes, pinned by SHA-256."""
+    """Charts whose bytes the benchmark catalogue freezes, checked under its ids."""
 
-    @pytest.mark.parametrize("scenario,chart,digest", _SVG_DIGESTS)
-    def test_digest(self, scenario, chart, digest):
-        if isinstance(scenario, str):
-            config = builtin_scenario(scenario)
-        else:
-            config = load_config(json.dumps({"model": "lattice", "params": scenario}))
-        document = emit_svg(run_config(config), chart)
-        assert hashlib.sha256(document.encode()).hexdigest() == digest
-
-
-# Runs that take most of their params from the library's defaults.
-_CSV_DIGESTS = [
-    pytest.param({"model": "lattice", "params": {"family": "linear"}},
-                 "ac76d15bae4b3d0f3dd3203d451bd62a0ffc9889f9e2ecb9cf6f1f0fab93d89f",
-                 "60,994,0.994000\n", id="lattice-default"),
-    pytest.param({"model": "sweep",
-                  "params": {"p_values": [1.5, 2.0], "q_values": [5],
-                             "gamma_values": [0.03, 0.05]}},
-                 "d44b5d046ec93f13a2fb59db4f619a3904f220e2293c891c228714eae88bac6c",
-                 "2.0,5,0.05,1.370381,0.666873,2039\n", id="sweep-axes-only"),
-]
-
-
-class TestCsvBytes:
-    """Default-heavy configs print the same CSV bytes, pinned by SHA-256."""
-
-    @pytest.mark.parametrize("document,digest,last_row", _CSV_DIGESTS)
-    def test_digest(self, tmp_path, capsys, document, digest, last_row):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(document))
-        assert main(["run", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith(last_row)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-_ONE_YEAR_BOUNDARY = {
-    "model": "boundary",
-    "params": {"alpha_h": 1.0, "beta_h": 1.5, "alpha_m": 1.3704, "beta_m": 2.5,
-               "gamma": 0.04336, "p": 2.0, "q": 5.0, "horizon_years": 0},
-}
-
-_EDGE_SVG_DIGESTS = [
-    # One point: a single x tick, a zero-span x map and a padded flat y range.
-    pytest.param(_ONE_YEAR_BOUNDARY, "line",
-                 "c8b7e7318cdb458eab9480423652f995d1e86e14a2685e9fa10fbdeea74378a2",
-                 id="boundary-one-year-line"),
-    # One year column: the cell edges of a single value.
-    pytest.param(_ONE_YEAR_BOUNDARY, "heatmap",
-                 "e6db50f717795d6132c95c50d11cba7caa1d90c68545cf1776dbbf6b4931d89e",
-                 id="boundary-one-year-heatmap"),
-    # The share starts at its equilibrium and stays there.
-    pytest.param({"model": "aggregate", "params": {"alpha": 0.5, "beta": 0.5, "x0": 0.5}},
-                 "line",
-                 "ce960e05eed00911c7c4b4cd4fa075bc949fac5b009178c8d729d3b168985108",
-                 id="aggregate-flat-line"),
-    pytest.param({"model": "sweep",
-                  "params": {"p_values": [2.0], "q_values": [5], "gamma_values": [0.05]}},
-                 "heatmap",
-                 "08914347210b34a11ce1ebc5e1d838232735296e03f43e843f3409486b93b82a",
-                 id="sweep-one-cell-heatmap"),
-]
-
-
-class TestSvgEdgeBytes:
-    """Degenerate axes render to the same bytes, pinned by SHA-256."""
-
-    @pytest.mark.parametrize("document,chart,digest", _EDGE_SVG_DIGESTS)
-    def test_digest(self, document, chart, digest):
-        svg = emit_svg(run_config(load_config(json.dumps(document))), chart)
-        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("entry_id", [
+        pytest.param("cli/scenario-paper-boundary-format-svg-chart-heatmap",
+                     id="boundary-heatmap"),
+        pytest.param("cli/scenario-paper-grid-format-svg", id="grid-heatmap"),
+        pytest.param("cli/run-lattice-linear-b", id="lattice-line"),
+    ])
+    def test_digest(self, entry_id):
+        assert check(entry_id) is None
 
 
 class TestVerify:
@@ -372,15 +284,8 @@ class TestVerify:
     def test_deterministic(self):
         assert verify_goldens()[0] == verify_goldens()[0]
 
-    def test_default_grid_computed_once_per_verify(self, monkeypatch):
-        calls = [0]
-        original = workmix.sweep.run_grid
-
-        def counted(grid):
-            calls[0] += 1
-            return original(grid)
-
-        monkeypatch.setattr(workmix.sweep, "run_grid", counted)
+    def test_default_grid_computed_once_per_verify(self, count_calls):
+        calls = count_calls(workmix.sweep, "run_grid")
         assert verify_goldens()[0].endswith("42/42 golden checks passed\n")
         # The three sweep-cell checks share one grid; the paper-grid CSV
         # check runs the scenario end to end.
@@ -400,14 +305,11 @@ def _raise_computation_error(x, shape, intervals):
 
 
 class TestVerifyReport:
-    """The report's bytes: the passing one by SHA-256, and one failure of each kind."""
+    """The report's bytes: the passing one as catalogue entry `cli/verify`, and one
+    failure of each kind."""
 
     def test_passing_report_digest(self):
-        report, all_passed = verify_goldens()
-        assert all_passed
-        assert hashlib.sha256(report.encode()).hexdigest() == (
-            "266a4f1c9007188dd56c05119b3641d3ea740c733603ca32e2daa67ae402b630"
-        )
+        assert check("cli/verify") is None
 
     @pytest.mark.parametrize("module,name,replacement,failures", [
         pytest.param(workmix.aggregate, "closed_form", lambda t, params: 0.0, [
@@ -872,6 +774,10 @@ _CONFIG_ERRORS = [
           "error: sweep params must be an object, got str"),
     _case("grid-overflow-param-error", "sweep", dict(_SWP, beta_h=1.7e308, beta_m=1.7e308),
           "error: beta_h + beta_m must be finite, got inf"),
+    _case("grid-human-slope-param-error", "sweep", dict(_SWP, beta_h=0),
+          "error: beta_h must be positive, got 0"),
+    _case("grid-machine-slope-param-error", "sweep", dict(_SWP, beta_m=-1.0),
+          "error: beta_m must be positive, got -1.0"),
     # Admitted at load: the recalibrated alpha_m overflows only when the grid runs.
     _case("sweep-intercept-overflow", "sweep",
           dict(_SWP, alpha_h=1.7e308, beta_h=0.85e308, beta_m=0.85e308,
@@ -1179,15 +1085,8 @@ class TestLatticeBuildCount:
     """Loading validates only; running builds the task universe once."""
 
     @pytest.mark.parametrize("text", _LATTICE_CONFIGS, ids=["linear", "saturating"])
-    def test_quantiles_computed_once_per_run(self, monkeypatch, text):
-        calls = [0]
-        original = workmix.lattice.beta_quantile_thetas
-
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(workmix.lattice, "beta_quantile_thetas", counted)
+    def test_quantiles_computed_once_per_run(self, count_calls, text):
+        calls = count_calls(workmix.lattice, "beta_quantile_thetas")
         config = load_config(text)
         assert calls[0] == 0
         run_config(config)
@@ -1218,16 +1117,9 @@ class TestLatticeQuantileWork:
         ({"family": "linear"}, 450),
         ({"family": "linear", "n_tasks": 10_000}, 1000),
     ], ids=["default", "ten-thousand-tasks"])
-    def test_inverse_calls_per_run(self, monkeypatch, params, bound):
-        calls = [0]
-        original = workmix.numerics.inv_reg_inc_beta
-
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
-
+    def test_inverse_calls_per_run(self, count_calls, params, bound):
         # The lattice reads the inverse through its module when it inverts.
-        monkeypatch.setattr(workmix.numerics, "inv_reg_inc_beta", counted)
+        calls = count_calls(workmix.numerics, "inv_reg_inc_beta")
         run_config(load_config(json.dumps({"model": "lattice", "params": params})))
         assert 0 < calls[0] <= bound
 

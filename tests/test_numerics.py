@@ -251,19 +251,6 @@ def grid_cases():
                 yield shape, target
 
 
-def count_calls(monkeypatch, module, name):
-    """Wrap module.name so that each call bumps the returned counter."""
-    calls = [0]
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestInverseAgainstBisection:
     def test_residual_no_worse_than_bisection(self):
         for shape, target in grid_cases():
@@ -357,8 +344,8 @@ class TestExactAccuracy:
 
 
 class TestWorkCounts:
-    def test_log_beta_once_per_shape(self, monkeypatch):
-        calls = count_calls(monkeypatch, workmix.numerics, "log_beta")
+    def test_log_beta_once_per_shape(self, count_calls):
+        calls = count_calls(workmix.numerics, "log_beta")
         shape = BetaShape(2.0, 5.0)
         assert calls[0] == 1
         for i in range(1, 10):
@@ -369,16 +356,16 @@ class TestWorkCounts:
         assert shape == BetaShape(2.0, 5.0)
         assert repr(shape) == "BetaShape(p=2.0, q=5.0)"
 
-    def test_cdf_evaluations_per_quantile(self, monkeypatch):
+    def test_cdf_evaluations_per_quantile(self, count_calls):
         shape = BetaShape(2.0, 5.0)
-        calls = count_calls(monkeypatch, workmix.numerics, "reg_inc_beta")
+        calls = count_calls(workmix.numerics, "reg_inc_beta")
         beta_quantile_thetas(400, shape)
         assert calls[0] / 400 <= 10
 
-    def test_cdf_evaluations_per_forced_quantile(self, monkeypatch):
+    def test_cdf_evaluations_per_forced_quantile(self, count_calls):
         # The quantiles are inverted when read, so read all of them.
         shape = BetaShape(2.0, 5.0)
-        calls = count_calls(monkeypatch, workmix.numerics, "reg_inc_beta")
+        calls = count_calls(workmix.numerics, "reg_inc_beta")
         assert len(tuple(beta_quantile_thetas(400, shape))) == 400
         assert 400 <= calls[0] <= 400 * 10
 

@@ -35,19 +35,6 @@ def scan_cross50(params, horizon):
     return None
 
 
-def count_calls(monkeypatch, module, name, calls=None):
-    """Wrap module.name so that each call bumps the returned counter."""
-    calls = [0] if calls is None else calls
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def log_uniform(low, high):
     return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
 
@@ -83,6 +70,10 @@ class TestGridSpec:
             GridSpec((1.5,), (5,), (0.03,), 20, 1.0)
         with pytest.raises(ParamError, match="beta_h \\+ beta_m must be finite, got inf"):
             GridSpec((1.5,), (5,), (0.03,), 20, 0.10, beta_h=1.7e308, beta_m=1.7e308)
+        with pytest.raises(ParamError, match="beta_h must be positive, got 0"):
+            GridSpec((1.5,), (5,), (0.03,), 20, 0.10, beta_h=0)
+        with pytest.raises(ParamError, match="beta_m must be positive, got -1.0"):
+            GridSpec((1.5,), (5,), (0.03,), 20, 0.10, beta_m=-1.0)
 
     @pytest.mark.parametrize("axes", [((-1.0, 2.0), (5,), (0.03,)), ((1.5,), (5,), (0.0,))])
     def test_rejects_non_positive_axis_value(self, axes):
@@ -250,7 +241,7 @@ class TestMedianBracket:
         )
         assert_cells_match_scan(grid, run_grid(grid))
 
-    def test_sweep_grid_shape_with_few_cdf_calls(self, monkeypatch):
+    def test_sweep_grid_shape_with_few_cdf_calls(self, monkeypatch, count_calls):
         # The benchmark's sweep-grid layout: 8 x 8 shapes, 20 gammas, 60 years.
         grid = GridSpec(
             p_values=axis(0.8, 0.5, 8),
@@ -261,11 +252,11 @@ class TestMedianBracket:
         )
         # Forward CDF calls outside the inverse, through either binding the
         # sweep reaches them by (final share and half-share year).
-        calls = count_calls(monkeypatch, workmix.sweep, "reg_inc_beta")
-        count_calls(monkeypatch, workmix.boundary, "reg_inc_beta", calls)
+        calls = count_calls(workmix.sweep, "reg_inc_beta")
+        count_calls(workmix.boundary, "reg_inc_beta", calls)
         # The rest: those inside the inverse and the median search.
-        inner = count_calls(monkeypatch, workmix.numerics, "reg_inc_beta")
-        inverses = count_calls(monkeypatch, workmix.sweep, "inv_reg_inc_beta")
+        inner = count_calls(workmix.numerics, "reg_inc_beta")
+        inverses = count_calls(workmix.sweep, "inv_reg_inc_beta")
         cells = run_grid(grid)
         monkeypatch.undo()
         assert len(cells) == 1280
