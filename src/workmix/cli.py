@@ -596,8 +596,7 @@ def emit_csv(result: RunResult, precision: int = OutputSpec().precision) -> str:
     Headers are fixed per model; every row ends with a newline and carries
     no trailing whitespace, so output is byte-identical across runs.
     """
-    if precision < 0:
-        raise ValidationError(f"precision must be >= 0, got {precision}")
+    _check_precision(precision, "precision")
     spec = _SPECS.get(result.model)
     if spec is None:
         raise ValidationError(f"unknown model {result.model!r}")

@@ -32,7 +32,13 @@ import math
 from collections import namedtuple
 
 from ._calendar import HORIZON_YEARS, START_YEAR
-from .boundary import DEFAULT_BOUNDARY, ContinuousParams, automated_share, automation_boundary
+from .boundary import (
+    DEFAULT_BOUNDARY,
+    ContinuousParams,
+    _share_below,
+    automated_share,
+    automation_boundary,
+)
 from .errors import ParamError
 from .numerics import BetaShape, inv_reg_inc_beta, locate_quantile, reg_inc_beta
 
@@ -141,7 +147,7 @@ def cross50(
         start += 1
     for t in range(start, horizon + 1):
         theta = automation_boundary(t, params)
-        if theta >= hi or reg_inc_beta(min(1.0, max(0.0, theta)), params.shape) >= 0.5:
+        if theta >= hi or _share_below(theta, params.shape) >= 0.5:
             return params.start_year + t
     return None
 

@@ -9,7 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from frozen_outputs import check
+from frozen_outputs import (
+    _AGG, _BND, _SWP, _TABLE, DASH_WORDS, FROZEN, REFUSED, Outcome, check, refusal_fault, run,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +36,27 @@ from workmix.cli import (
     scenario_names,
     verify_goldens,
 )
+
+# Each group of REFUSED rows (ids "group/case") is checked by one test, which
+# claims it at import: a parametrized test as its cases, a single test as a
+# default argument, which pytest does not take for a fixture.
+_CLAIMED = []
+
+
+def _rows(group):
+    row_ids = [row_id for row_id in REFUSED if row_id.startswith(group + "/")]
+    _CLAIMED.extend(row_ids)
+    return row_ids
+
+
+def _case(row_id):
+    """A row's case name: the id of its pytest case."""
+    return row_id.split("/", 1)[1]
+
+
+def _faults(row_ids):
+    """Each row whose run is not the refusal REFUSED holds, with what is wrong."""
+    return [(row_id, reason) for row_id in row_ids if (reason := check(row_id)) is not None]
 
 
 class TestLoadConfig:
@@ -203,8 +226,10 @@ class TestEmitCsv:
 
     def test_rejects_negative_precision_and_unknown_model(self):
         result = run_config(builtin_scenario("paper-aggregate"))
-        with pytest.raises(ValidationError, match="precision must be >= 0, got -1"):
+        with pytest.raises(ValidationError, match=r"precision must lie in \[0, 17\], got -1"):
             emit_csv(result, -1)
+        with pytest.raises(ValidationError, match=r"precision must lie in \[0, 17\], got 18"):
+            emit_csv(result, 18)
         with pytest.raises(ValidationError, match="unknown model 'quantum'"):
             emit_csv(RunResult("quantum", result.data))
 
@@ -420,39 +445,17 @@ class TestMain:
         assert captured.out.startswith("<svg") and captured.out.endswith("</svg>\n")
         assert captured.err == ""
 
-    def test_exit_codes(self, tmp_path, capsys):
-        assert main(["run", str(tmp_path / "missing.json")]) == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"model": "aggregate", "params": {"alpha": 2}}')
-        assert main(["run", str(bad)]) == 1
-        assert main(["scenario", "nope"]) == 1
-        assert main(["scenario", "paper-aggregate", "--chart", "heatmap",
-                     "--format", "svg"]) == 1
-        capsys.readouterr()
+    def test_exit_codes(self, row_ids=_rows("exit-codes")):
+        assert _faults(row_ids) == []
 
-    def test_error_leaves_no_partial_output(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"model": "aggregate", "params": {"alpha": 2}}')
-        target = tmp_path / "out.csv"
-        assert main(["run", str(bad), "--out", str(target)]) == 1
-        assert not target.exists()
-        capsys.readouterr()
+    def test_error_leaves_no_partial_output(self, row_ids=_rows("no-partial-output")):
+        assert _faults(row_ids) == []
 
-    def test_error_leaves_existing_file_untouched(self, tmp_path, capsys):
-        target = tmp_path / "out.csv"
-        target.write_text("keep me\n")
-        assert main(["scenario", "paper-aggregate", "--format", "svg",
-                     "--chart", "heatmap", "--out", str(target)]) == 1
-        assert target.read_text() == "keep me\n"
-        capsys.readouterr()
+    def test_error_leaves_existing_file_untouched(self, row_ids=_rows("existing-file")):
+        assert _faults(row_ids) == []
 
-    def test_out_is_an_existing_directory(self, tmp_path, capsys):
-        target = tmp_path / "target"
-        target.mkdir()
-        assert main(["scenario", "paper-aggregate", "--out", str(target)]) == 2
-        assert "Is a directory" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
-        assert list(target.iterdir()) == []
+    def test_out_is_an_existing_directory(self, row_ids=_rows("out-directory")):
+        assert _faults(row_ids) == []
 
     def test_out_file_gets_plain_open_permissions(self, tmp_path, capsys):
         target = tmp_path / "shares.csv"
@@ -516,10 +519,8 @@ class TestMain:
         assert "golden checks passed" in out
         assert "FAIL" not in out
 
-    def test_usage_error_exits_one(self, capsys):
-        assert main(["frobnicate"]) == 1
-        assert main([]) == 1
-        capsys.readouterr()
+    def test_usage_error_exits_one(self, row_ids=_rows("usage")):
+        assert _faults(row_ids) == []
 
     def test_flag_overrides_config_output(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -531,356 +532,30 @@ class TestMain:
         assert "2026,0.18500\n" in capsys.readouterr().out
 
 
-_AGG = {"alpha": 0.1, "beta": 0.05, "x0": 0.1}
-_CAT = {"x0": 0.3, "machine_intercept": 1.0, "machine_growth": 0.05, "human_payoff": 0.8}
-_REP = {"routine": _CAT, "complex": _CAT, "sensitivity": 0.2, "w_routine": 0.6}
-_BND = {"alpha_h": 1.0, "beta_h": 1.5, "alpha_m": 1.3704, "beta_m": 2.5,
-        "gamma": 0.04336, "p": 2.0, "q": 5.0}
-_SWP = {"p_values": [2.0], "q_values": [5], "gamma_values": [0.05]}
-_TABLE = {"family": "table", "thetas": [0.2, 0.6], "human_values": [1.0, 1.0],
-          "machine_rows": [[0.5, 0.2]]}
-# The first of 20 Beta(2, 5) quantiles whose limit 1 - 2 theta is negative,
-# as the error line prints it; its last digits follow ln B and the inverse.
-_NEGATIVE_LIMIT_THETA = next(
-    theta for theta in workmix.lattice.beta_quantile_thetas(20, BetaShape(2.0, 5.0))
-    if workmix.lattice.Line(1.0, -2.0)(theta) < 0
-)
-
-
-def _case(case_id, model, params, message, **document):
-    """One single-fault config: the model, its params block, the stderr line."""
-    return pytest.param(
-        {"model": model, "params": params, **document}, message, id=case_id
-    )
-
-
-def _check_exits_one_without_output(tmp_path, capsys, document, message):
-    path = tmp_path / "config.json"
-    path.write_text(document if isinstance(document, str) else json.dumps(document))
-    target = tmp_path / "out.csv"
-    assert main(["run", str(path), "--out", str(target)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == message + "\n"
-    assert captured.out == ""
-    assert not target.exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-
-_LATTICE_INVARIANT_ERRORS = [
-    _case(
-        "negative-limit", "lattice",
-        {"family": "saturating", "n_tasks": 20,
-         "limit_intercept": 1.0, "limit_slope": 2.0},
-        f"error: machine limit is negative at theta={_NEGATIVE_LIMIT_THETA!r}; "
-        "the saturating schedule would decrease in t",
-    ),
-    _case(
-        "duplicate-thetas", "lattice", dict(_TABLE, thetas=[0.2, 0.2]),
-        "error: table_universe requires distinct theta values",
-    ),
-    _case(
-        "short-row", "lattice", dict(_TABLE, machine_rows=[[0.5, 0.2], [1.5]]),
-        "error: machine_rows[1] has 1 entries, expected 2",
-    ),
-    _case(
-        "zero-gamma", "lattice", {"family": "linear", "n_tasks": 20, "gamma": 0},
-        "error: gamma must be positive, got 0",
-    ),
-    _case(
-        "zero-p", "lattice",
-        {"family": "saturating", "n_tasks": 20, "p": 0,
-         "limit_intercept": 1.0, "limit_slope": 0.5},
-        "error: beta shape parameters must be positive, got p=0, q=5.0",
-    ),
-]
-
-
 class TestLatticeInvariantErrors:
     """Universe invariants fail the run with exit 1 and write nothing."""
 
-    @pytest.mark.parametrize("document,message", _LATTICE_INVARIANT_ERRORS)
-    def test_run_exits_one_without_output(self, tmp_path, capsys, document, message):
-        _check_exits_one_without_output(tmp_path, capsys, document, message)
-
-
-_CONFIG_ERRORS = [
-    # config document
-    pytest.param('{"model": ', "error: config parse error at line 1, column 11: "
-                 "Expecting value", id="parse-error"),
-    pytest.param([1], "error: config must be a JSON object at top level",
-                 id="top-level-list"),
-    pytest.param({"params": _AGG}, "error: missing required key 'model' in config",
-                 id="missing-model"),
-    _case("unknown-top-key", "aggregate", _AGG,
-          "error: unknown key 'extra' in config", extra=1),
-    _case("unknown-model", "quantum", _AGG,
-          "error: unknown model 'quantum' (expected one of aggregate, "
-          "replicator, boundary, lattice, sweep)"),
-    _case("scenario-and-params", "aggregate", _AGG,
-          "error: config must provide exactly one of 'scenario' or 'params'",
-          scenario="paper-aggregate"),
-    pytest.param({"model": "aggregate"},
-                 "error: config must provide exactly one of 'scenario' or 'params'",
-                 id="neither-scenario-nor-params"),
-    pytest.param({"model": "aggregate", "scenario": 3},
-                 "error: scenario must be a string, got 3", id="scenario-not-string"),
-    pytest.param({"model": "aggregate", "scenario": "paper-unknown"},
-                 "error: unknown scenario 'paper-unknown' (builtins: paper-aggregate, "
-                 "paper-replicator, paper-boundary, paper-grid)",
-                 id="unknown-scenario"),
-    pytest.param({"model": "aggregate", "scenario": "paper-grid"},
-                 "error: scenario 'paper-grid' belongs to model 'sweep', "
-                 "config says 'aggregate'", id="scenario-model-mismatch"),
-    # aggregate
-    _case("aggregate-unknown-key", "aggregate", dict(_AGG, alpha2=9),
-          "error: unknown key 'alpha2' in aggregate params"),
-    _case("aggregate-missing-key", "aggregate", {"alpha": 0.1, "x0": 0.1},
-          "error: missing required key 'beta' in aggregate params"),
-    _case("aggregate-not-object", "aggregate", [0.1],
-          "error: aggregate params must be an object, got list"),
-    _case("aggregate-bool", "aggregate", dict(_AGG, alpha=True),
-          "error: alpha must be a number, got True"),
-    _case("aggregate-string", "aggregate", dict(_AGG, beta="0.05"),
-          "error: beta must be a number, got '0.05'"),
-    _case("aggregate-non-integer", "aggregate", dict(_AGG, start_year=2025.5),
-          "error: start_year must be an integer, got 2025.5"),
-    _case("aggregate-horizon", "aggregate", dict(_AGG, horizon_years=0),
-          "error: horizon_years must be >= 1, got 0"),
-    _case("aggregate-horizon-cap", "aggregate", dict(_AGG, horizon_years=10**8),
-          "error: horizon_years must be <= 1000, got 100000000"),
-    _case("aggregate-param-error", "aggregate", dict(_AGG, alpha=2),
-          "error: alpha must lie in [0, 1], got 2"),
-    # replicator
-    _case("replicator-unknown-key", "replicator", dict(_REP, gamma=1),
-          "error: unknown key 'gamma' in replicator params"),
-    _case("replicator-missing-key", "replicator", {"routine": _CAT, "complex": _CAT},
-          "error: missing required key 'sensitivity' in replicator params"),
-    _case("replicator-nested-unknown-key", "replicator",
-          dict(_REP, routine=dict(_CAT, slope=1)),
-          "error: unknown key 'slope' in replicator params.routine"),
-    _case("replicator-nested-missing-key", "replicator",
-          dict(_REP, complex={"x0": 0.05}),
-          "error: missing required key 'machine_intercept' in replicator params.complex"),
-    _case("replicator-nested-not-object", "replicator", dict(_REP, routine=[1]),
-          "error: replicator params.routine must be an object, got list"),
-    _case("replicator-nested-number", "replicator",
-          dict(_REP, complex=dict(_CAT, human_payoff="1.2")),
-          "error: replicator params.complex.human_payoff must be a number, got '1.2'"),
-    _case("replicator-horizon", "replicator", dict(_REP, horizon_years=0),
-          "error: horizon_years must be >= 1, got 0"),
-    _case("replicator-non-integer", "replicator", dict(_REP, horizon_years=True),
-          "error: horizon_years must be an integer, got True"),
-    _case("category-param-error", "replicator", dict(_REP, routine=dict(_CAT, x0=2)),
-          "error: x0 must lie in [0, 1], got 2"),
-    _case("replicator-param-error", "replicator", dict(_REP, sensitivity=0),
-          "error: sensitivity must be positive, got 0"),
-    _case("replicator-gap-at-start", "replicator", dict(_REP, sensitivity=1e300),
-          "error: sensitivity * routine payoff gap (machine_intercept + machine_growth * t "
-          "- human_payoff) must lie in [-1, 1] for t in [0, 19], "
-          "got 1.9999999999999997e+299 at t=0"),
-    _case("replicator-gap-at-end", "replicator",
-          dict(_REP, routine=dict(_CAT, machine_growth=-1)),
-          "error: sensitivity * routine payoff gap (machine_intercept + machine_growth * t "
-          "- human_payoff) must lie in [-1, 1] for t in [0, 19], "
-          "got -3.7600000000000002 at t=19"),
-    _case("replicator-complex-gap", "replicator",
-          dict(_REP, complex=dict(_CAT, human_payoff=-1e6), horizon_years=3),
-          "error: sensitivity * complex payoff gap (machine_intercept + machine_growth * t "
-          "- human_payoff) must lie in [-1, 1] for t in [0, 2], got 200000.2 at t=0"),
-    # Shares at 0 never move, but the params would push any other share out.
-    _case("replicator-gap-resting-shares", "replicator",
-          dict(_REP, routine=dict(_CAT, x0=0), complex=dict(_CAT, x0=1), sensitivity=1e3),
-          "error: sensitivity * routine payoff gap (machine_intercept + machine_growth * t "
-          "- human_payoff) must lie in [-1, 1] for t in [0, 19], "
-          "got 199.99999999999994 at t=0"),
-    # boundary
-    _case("boundary-unknown-key", "boundary", dict(_BND, delta=1),
-          "error: unknown key 'delta' in boundary params"),
-    _case("boundary-missing-key", "boundary", {k: v for k, v in _BND.items() if k != "q"},
-          "error: missing required key 'q' in boundary params"),
-    _case("boundary-string", "boundary", dict(_BND, p="2"),
-          "error: p must be a number, got '2'"),
-    _case("boundary-horizon", "boundary", dict(_BND, horizon_years=-1),
-          "error: horizon_years must be >= 0, got -1"),
-    _case("boundary-horizon-cap", "boundary", dict(_BND, horizon_years=1001),
-          "error: horizon_years must be <= 1000, got 1001"),
-    _case("boundary-param-error", "boundary", dict(_BND, gamma=0),
-          "error: gamma must be positive, got 0"),
-    _case("boundary-shape-error", "boundary", dict(_BND, q=-1),
-          "error: beta shape parameters must be positive, got p=2.0, q=-1"),
-    _case("boundary-shape-above-range", "boundary", dict(_BND, p=1e300),
-          "error: p must lie in [0.001, 1000], the range of Beta shapes the CDF is "
-          "tested on, got 1e+300"),
-    _case("boundary-shape-below-range", "boundary", dict(_BND, q=5e-4),
-          "error: q must lie in [0.001, 1000], the range of Beta shapes the CDF is "
-          "tested on, got 0.0005"),
-    # Coefficients whose difference or sum overflows would give theta_t = nan.
-    _case("boundary-overflow-param-error", "boundary",
-          dict(_BND, alpha_h=-1.7e308, alpha_m=1.7e308, beta_h=1.7e308, beta_m=1.7e308),
-          "error: alpha_m - alpha_h must be finite, got inf"),
-    _case("boundary-gap-overflow-param-error", "boundary",
-          dict(_BND, alpha_h=1.7e308, alpha_m=-1.7e308, gamma=1.7e308),
-          "error: alpha_m - alpha_h must be finite, got -inf"),
-    # Admitted coefficients whose theta_t overflows: refused at the first such year.
-    _case("boundary-theta-overflow", "boundary",
-          dict(_BND, alpha_h=0, alpha_m=1.7e308, beta_h=1, beta_m=1, gamma=1.7e308),
-          "error: theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
-          "finite, got inf at t=1"),
-    _case("boundary-theta-subnormal-slopes", "boundary",
-          dict(_BND, beta_h=5e-324, beta_m=5e-324),
-          "error: theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
-          "finite, got inf at t=0"),
-    _case("boundary-theta-negative-overflow", "boundary",
-          dict(_BND, alpha_m=-1.0, beta_h=5e-324, beta_m=5e-324),
-          "error: theta_t = (alpha_m - alpha_h + gamma * t) / (beta_h + beta_m) must be "
-          "finite, got -inf at t=0"),
-    # sweep
-    _case("sweep-unknown-key", "sweep", dict(_SWP, r_values=[1]),
-          "error: unknown key 'r_values' in sweep params"),
-    _case("sweep-missing-key", "sweep", {"p_values": [2.0], "q_values": [5]},
-          "error: missing required key 'gamma_values' in sweep params"),
-    _case("sweep-empty-list", "sweep", dict(_SWP, p_values=[]),
-          "error: p_values must be a non-empty list of numbers"),
-    _case("sweep-not-list", "sweep", dict(_SWP, q_values=5),
-          "error: q_values must be a non-empty list of numbers"),
-    _case("sweep-list-element", "sweep", dict(_SWP, q_values=[5, "x"]),
-          "error: q_values[1] must be a number, got 'x'"),
-    _case("sweep-p-above-range", "sweep", dict(_SWP, p_values=[1e300]),
-          "error: p_values[0] must lie in [0.001, 1000], the range of Beta shapes the "
-          "CDF is tested on, got 1e+300"),
-    _case("sweep-q-below-range", "sweep", dict(_SWP, q_values=[5, 1e-4]),
-          "error: q_values[1] must lie in [0.001, 1000], the range of Beta shapes the "
-          "CDF is tested on, got 0.0001"),
-    _case("sweep-non-integer", "sweep", dict(_SWP, horizon_years=20.0),
-          "error: horizon_years must be an integer, got 20.0"),
-    _case("grid-param-error", "sweep", dict(_SWP, gamma_values=[0.05, 0.03]),
-          "error: gamma_values must be strictly ascending, got (0.05, 0.03)"),
-    _case("grid-horizon", "sweep", dict(_SWP, horizon_years=0),
-          "error: horizon_years must be >= 1, got 0"),
-    _case("sweep-horizon-cap", "sweep", dict(_SWP, horizon_years=5000),
-          "error: horizon_years must be <= 1000, got 5000"),
-    _case("sweep-cells-cap", "sweep",
-          dict(_SWP, p_values=[1 + i / 100 for i in range(101)],
-               q_values=list(range(1, 101))),
-          "error: p_values x q_values x gamma_values must give at most 10000 cells, "
-          "got 10100"),
-    # The cap is checked before the grid's own invariants.
-    _case("sweep-cells-cap-before-order", "sweep",
-          dict(_SWP, p_values=[2 - i / 100 for i in range(101)],
-               q_values=list(range(1, 101))),
-          "error: p_values x q_values x gamma_values must give at most 10000 cells, "
-          "got 10100"),
-    _case("sweep-not-object", "sweep", "grid",
-          "error: sweep params must be an object, got str"),
-    _case("grid-overflow-param-error", "sweep", dict(_SWP, beta_h=1.7e308, beta_m=1.7e308),
-          "error: beta_h + beta_m must be finite, got inf"),
-    _case("grid-human-slope-param-error", "sweep", dict(_SWP, beta_h=0),
-          "error: beta_h must be positive, got 0"),
-    _case("grid-machine-slope-param-error", "sweep", dict(_SWP, beta_m=-1.0),
-          "error: beta_m must be positive, got -1.0"),
-    # Admitted at load: the recalibrated alpha_m overflows only when the grid runs.
-    _case("sweep-intercept-overflow", "sweep",
-          dict(_SWP, alpha_h=1.7e308, beta_h=0.85e308, beta_m=0.85e308,
-               initial_share_target=0.9),
-          "error: the recalibrated intercept alpha_h + (beta_h + beta_m) * theta_0 "
-          "overflows a double at p=2.0, q=5, where theta_0 is the Beta(p, q) quantile at "
-          "initial_share_target"),
-    _case("sweep-heatmap-axis-overflow", "sweep", dict(_SWP, gamma_values=[1e308, 1.7e308]),
-          "error: heatmap gamma axis does not fit in a double: its cells must span "
-          "a finite range", output={"format": "svg"}),
-    # lattice
-    _case("lattice-not-object", "lattice", [1], "error: lattice params must be an object"),
-    _case("lattice-family", "lattice", {"family": "cubic"},
-          "error: lattice params require family 'linear', 'saturating', or 'table', "
-          "got 'cubic'"),
-    _case("lattice-no-family", "lattice", {"n_tasks": 5},
-          "error: lattice params require family 'linear', 'saturating', or 'table', "
-          "got None"),
-    _case("lattice-unknown-key", "lattice", {"family": "linear", "rows": 1},
-          "error: unknown key 'rows' in lattice params"),
-    _case("lattice-family-before-keys", "lattice", {"family": "cubic", "rows": 1},
-          "error: lattice params require family 'linear', 'saturating', or 'table', "
-          "got 'cubic'"),
-    _case("lattice-foreign-key", "lattice", {"family": "table", "thetas": [0.5],
-                                             "human_values": [1], "machine_rows": [[1]],
-                                             "gamma": 0.1},
-          "error: unknown key 'gamma' in lattice params"),
-    _case("lattice-missing-key", "lattice", {"family": "saturating", "limit_intercept": 1},
-          "error: missing required key 'limit_slope' in lattice params"),
-    _case("lattice-number", "lattice", {"family": "linear", "alpha_m": None},
-          "error: alpha_m must be a number, got None"),
-    _case("lattice-rows-not-list", "lattice", dict(_TABLE, machine_rows={"0": [1]}),
-          "error: machine_rows must be a non-empty list of rows"),
-    _case("lattice-rows-empty", "lattice", dict(_TABLE, machine_rows=[]),
-          "error: machine_rows must be a non-empty list of rows"),
-    _case("lattice-row-not-list", "lattice", dict(_TABLE, machine_rows=[0.5]),
-          "error: machine_rows[0] must be a non-empty list of numbers"),
-    _case("lattice-row-element", "lattice", dict(_TABLE, machine_rows=[[0.5, "a"]]),
-          "error: machine_rows[0][1] must be a number, got 'a'"),
-    _case("lattice-thetas-element", "lattice", dict(_TABLE, thetas=[0.2, False]),
-          "error: thetas[1] must be a number, got False"),
-    _case("lattice-p-below-range", "lattice", {"family": "linear", "p": 5e-4},
-          "error: p must lie in [0.001, 1000], the range of Beta shapes the CDF is "
-          "tested on, got 0.0005"),
-    _case("lattice-q-above-range", "lattice",
-          {"family": "saturating", "limit_intercept": 1, "limit_slope": 0.5, "q": 2000},
-          "error: q must lie in [0.001, 1000], the range of Beta shapes the CDF is "
-          "tested on, got 2000"),
-    _case("lattice-n-tasks", "lattice", {"family": "linear", "n_tasks": 0},
-          "error: n_tasks must be >= 1, got 0"),
-    _case("lattice-n-tasks-non-integer", "lattice", {"family": "linear", "n_tasks": 1.5},
-          "error: n_tasks must be an integer, got 1.5"),
-    _case("lattice-max-years", "lattice", dict(_TABLE, max_years=0),
-          "error: max_years must be >= 1, got 0"),
-    _case("lattice-max-years-cap", "lattice", dict(_TABLE, max_years=1001),
-          "error: max_years must be <= 1000, got 1001"),
-    _case("lattice-n-tasks-cap", "lattice", {"family": "linear", "n_tasks": 10**6},
-          "error: n_tasks must be <= 10000, got 1000000"),
-    _case("lattice-rows-cap", "lattice", dict(_TABLE, machine_rows=[[0.5, 0.2]] * 1001),
-          "error: machine_rows must have at most 1000 entries, got 1001"),
-    _case("lattice-thetas-cap", "lattice", dict(_TABLE, thetas=[0.5] * 10001),
-          "error: thetas must have at most 10000 entries, got 10001"),
-    _case("lattice-human-values-cap", "lattice", dict(_TABLE, human_values=[1.0] * 10001),
-          "error: human_values must have at most 10000 entries, got 10001"),
-    _case("lattice-stability-window", "lattice",
-          {"family": "saturating", "limit_intercept": 1, "limit_slope": 0,
-           "stability_window": -2},
-          "error: stability_window must be >= 1, got -2"),
-    # output block
-    _case("output-not-object", "aggregate", _AGG,
-          "error: output must be an object, got str", output="csv"),
-    _case("output-unknown-key", "aggregate", _AGG,
-          "error: unknown key 'formats' in output", output={"formats": "csv"}),
-    _case("output-format", "aggregate", _AGG,
-          "error: output.format must be 'csv' or 'svg', got 'png'",
-          output={"format": "png"}),
-    _case("output-precision-range", "aggregate", _AGG,
-          "error: output.precision must lie in [0, 17], got 99",
-          output={"precision": 99}),
-    _case("output-precision-non-integer", "aggregate", _AGG,
-          "error: output.precision must be an integer, got '3'",
-          output={"precision": "3"}),
-    _case("output-path", "aggregate", _AGG,
-          "error: output.path must be a string, got 5", output={"path": 5}),
-    _case("output-path-empty", "aggregate", _AGG,
-          "error: output.path must not be empty", output={"path": ""}),
-]
+    @pytest.mark.parametrize("row_id", _rows("lattice-invariant"), ids=_case)
+    def test_run_exits_one_without_output(self, row_id):
+        assert check(row_id) is None
 
 
 class TestConfigErrors:
     """Every validation branch of loading: exact stderr line, exit 1, nothing written."""
 
-    @pytest.mark.parametrize("document,message", _CONFIG_ERRORS)
-    def test_run_exits_one_without_output(self, tmp_path, capsys, document, message):
-        _check_exits_one_without_output(tmp_path, capsys, document, message)
+    @pytest.mark.parametrize("row_id", _rows("config"), ids=_case)
+    def test_run_exits_one_without_output(self, row_id):
+        assert check(row_id) is None
 
-    @pytest.mark.parametrize("document,message", [
-        case for case in _CONFIG_ERRORS if case.id.endswith(("param-error", "shape-error"))
-    ])
-    def test_typed_constructor_errors_surface_at_load(self, document, message):
+    @pytest.mark.parametrize("row_id", [
+        row_id for row_id in REFUSED
+        if row_id.startswith("config/") and row_id.endswith(("param-error", "shape-error"))
+    ], ids=_case)
+    def test_typed_constructor_errors_surface_at_load(self, row_id):
+        row = REFUSED[row_id]
         with pytest.raises((ParamError, DomainError)) as excinfo:
-            load_config(json.dumps(document))
-        assert "error: " + str(excinfo.value) == message
+            load_config(json.dumps(row.config))
+        assert "error: " + str(excinfo.value) == row.line
 
     @pytest.mark.parametrize("model,params", [
         ("boundary", dict(_BND, p=1e-3, q=1e3)),
@@ -970,21 +645,19 @@ def _replaced(block, path, value):
     return copy
 
 
-def _misbehaving(tmp_path, capsys, model, blocks):
+def _misbehaving(model, blocks):
     """The (label, params) blocks whose run neither answers nor is refused cleanly.
 
     An answer exits 0 with nothing on stderr and no nan or inf in its output;
-    a refusal exits 1 with one error line and nothing on stdout.
+    a refusal is clean by ``refusal_fault``, the REFUSED rows' test, with any
+    one error line.
     """
-    path = tmp_path / "config.json"
     wrong = []
     for label, params in blocks:
-        path.write_text(json.dumps({"model": model, "params": params}))
-        code = main(["run", str(path)])
-        out, err = capsys.readouterr()
+        outcome = run(("run", "{config}"), {"model": model, "params": params})
+        code, out, err, _ = outcome
         answered = code == 0 and err == "" and "nan" not in out and "inf" not in out
-        refused = code == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err)
-        if not (answered or refused):
+        if not answered and refusal_fault(outcome) is not None:
             wrong.append((label, code, err))
     return wrong
 
@@ -998,22 +671,22 @@ class TestConfigFuzz:
     """No value makes a run exit 2 or print nan or inf: a refused one exits 1 with one line."""
 
     @pytest.mark.parametrize("model,params", _FUZZ_BASE_PARAMS)
-    def test_every_value_exits_zero_or_one(self, tmp_path, capsys, model, params):
+    def test_every_value_exits_zero_or_one(self, model, params):
         blocks = (
             ((key_path, value), _replaced(params, key_path, value))
             for key_path in _numeric_paths(params)
             for value in _FUZZ_VALUES
         )
-        assert _misbehaving(tmp_path, capsys, model, blocks) == []
+        assert _misbehaving(model, blocks) == []
 
     @pytest.mark.parametrize("model,params", _FUZZ_BASE_PARAMS)
-    def test_every_pair_of_extremes_exits_zero_or_one(self, tmp_path, capsys, model, params):
+    def test_every_pair_of_extremes_exits_zero_or_one(self, model, params):
         blocks = (
             ((first, a, second, b), _replaced(_replaced(params, first, a), second, b))
             for first, second in itertools.combinations(_numeric_paths(params), 2)
             for a, b in itertools.product((1.7e308, -1.7e308, 5e-324, 0), repeat=2)
         )
-        assert _misbehaving(tmp_path, capsys, model, blocks) == []
+        assert _misbehaving(model, blocks) == []
 
     def test_covers_every_numeric_param(self):
         counts = [len(list(_numeric_paths(params))) for _, _, params in _FUZZ_BASES]
@@ -1039,32 +712,17 @@ class TestSizeCaps:
 
 
 class TestNonFiniteNumbers:
-    def test_scalar_nan_is_rejected_by_name(self, tmp_path, capsys):
-        params = dict(builtin_scenario("paper-boundary").params, alpha_h=float("nan"))
-        text = json.dumps({"model": "boundary", "params": params})
+    def test_scalar_nan_is_rejected_by_name(self, row_ids=_rows("scalar-nan")):
+        text = json.dumps(REFUSED[row_ids[0]].config)
         assert "NaN" in text
         with pytest.raises(ValidationError, match="alpha_h"):
             load_config(text)
-        path = tmp_path / "config.json"
-        path.write_text(text)
-        assert main(["run", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: alpha_h must be a finite number, got nan\n"
+        assert _faults(row_ids) == []
 
-    def test_list_infinity_is_rejected_by_index(self, tmp_path, capsys):
-        text = (
-            '{"model": "sweep", "params": {"p_values": [2.0], "q_values": [5],'
-            ' "gamma_values": [0.05, Infinity]}}'
-        )
+    def test_list_infinity_is_rejected_by_index(self, row_ids=_rows("list-infinity")):
         with pytest.raises(ValidationError, match=r"gamma_values\[1\]"):
-            load_config(text)
-        path = tmp_path / "config.json"
-        path.write_text(text)
-        assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: gamma_values[1] must be a finite number, got inf\n"
-        )
+            load_config(REFUSED[row_ids[0]].config)
+        assert _faults(row_ids) == []
 
     def test_lattice_and_negative_infinity(self):
         with pytest.raises(ValidationError, match="limit_slope"):
@@ -1124,90 +782,34 @@ class TestLatticeQuantileWork:
         assert 0 < calls[0] <= bound
 
 
-_AGG_TEXT = '{"model": "aggregate", "params": {"alpha": 0.1, "beta": 0.05, "x0": 0.1'
-
-
 class TestUnreadableConfigs:
     """Configs that stop the JSON reader or the float conversion: one line, exit 1."""
 
-    def test_integer_literal_over_digit_limit(self, tmp_path, capsys):
-        digits = sys.get_int_max_str_digits() + 1
-        text = _AGG_TEXT + ', "start_year": ' + "1" * digits + "}}"
-        _check_exits_one_without_output(
-            tmp_path, capsys, text,
-            f"error: config parse error: an integer literal has more than {digits - 1} digits",
-        )
+    def test_integer_literal_over_digit_limit(self, row_ids=_rows("digit-limit")):
+        assert _faults(row_ids) == []
 
-    @pytest.mark.parametrize("model,params,label", [
-        ("boundary", dict(_BND, p=10**400), "p"),
-        ("lattice", {"family": "linear", "n_tasks": 5, "alpha_m": -10**400}, "alpha_m"),
-        ("sweep", dict(_SWP, gamma_values=[0.05, 10**400]), "gamma_values[1]"),
-        ("aggregate", dict(_AGG, start_year=10**400), "start_year"),
-    ], ids=["boundary-shape", "lattice-linear", "sweep-grid", "integer-field"])
-    def test_integer_outside_double_range_names_the_key(
-        self, tmp_path, capsys, model, params, label
-    ):
-        _check_exits_one_without_output(
-            tmp_path, capsys, {"model": model, "params": params},
-            f"error: {label} must lie within the range of a double, "
-            "got an integer of 401 digits",
-        )
+    @pytest.mark.parametrize("row_id", _rows("double-range"), ids=_case)
+    def test_integer_outside_double_range_names_the_key(self, row_id):
+        assert check(row_id) is None
 
-    def test_config_not_utf8(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        head = _AGG_TEXT.encode() + b'}, "note": "'
-        path.write_bytes(head + b'\xff"}')
-        assert main(["run", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: cannot read config {str(path)!r}: not UTF-8 "
-            f"(byte 0xff at offset {len(head)})\n"
-        )
+    def test_config_not_utf8(self, row_ids=_rows("not-utf8")):
+        assert _faults(row_ids) == []
 
-    def test_unhashable_lattice_family(self, tmp_path, capsys):
-        _check_exits_one_without_output(
-            tmp_path, capsys, {"model": "lattice", "params": {"family": ["linear"]}},
-            "error: lattice params require family 'linear', 'saturating', or 'table', "
-            "got ['linear']",
-        )
+    def test_unhashable_lattice_family(self, row_ids=_rows("unhashable-family")):
+        assert _faults(row_ids) == []
 
-    def test_deeply_nested_json(self, tmp_path, capsys):
-        depth = 10**5
-        _check_exits_one_without_output(
-            tmp_path, capsys, "[" * depth + "]" * depth,
-            "error: config parse error: arrays or objects nested too deeply",
-        )
+    def test_deeply_nested_json(self, row_ids=_rows("deep-nesting")):
+        assert _faults(row_ids) == []
 
 
 class TestOutErrors:
-    def test_missing_directory_names_the_target(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "shares.csv"
-        errors = []
-        for _ in range(2):
-            assert main(["scenario", "paper-aggregate", "--out", str(target)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            errors.append(captured.err)
-        assert errors[0] == errors[1] == (
-            f"error: cannot write {str(target)!r}: No such file or directory\n"
-        )
-        assert list(tmp_path.iterdir()) == []
+    def test_missing_directory_names_the_target(self, row_ids=_rows("missing-out-directory")):
+        assert _faults(row_ids) == []
 
-    @pytest.mark.parametrize("command", [
-        ["run", "config.json"], ["scenario", "paper-aggregate"], ["list-scenarios"], ["verify"],
-    ])
-    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys, command):
-        # An empty --out neither falls back to output.path nor reaches a write.
-        monkeypatch.chdir(tmp_path)
-        config = {"model": "aggregate", "scenario": "paper-aggregate",
-                  "output": {"path": "out.csv"}}
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        assert main([*command, "--out", ""]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --out must not be empty\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    # The ids these cases had when they were parametrized by command.
+    @pytest.mark.parametrize("row_id", _rows("empty-out"), ids=[f"command{i}" for i in range(4)])
+    def test_empty_out_is_refused(self, row_id):
+        assert check(row_id) is None
 
 
 class TestMainBranches:
@@ -1223,60 +825,21 @@ class TestMainBranches:
             "",
         )
 
-    def test_heatmap_with_an_infinite_cell(self, tmp_path, capsys):
-        # theta_t stays finite, but the payoff advantage overflows from 2026 on.
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"model": "boundary", "params": dict(
-            _BND, alpha_h=1e308, alpha_m=1e308, gamma=1e308, beta_h=1, beta_m=1,
-            horizon_years=1)}))
-        target = tmp_path / "chart.svg"
-        argv = ["run", str(path), "--format", "svg", "--chart", "heatmap", "--out", str(target)]
-        assert main(argv) == 1
-        assert capsys.readouterr() == (
-            "", "error: heatmap cell at year=2026.0, theta=0.0 must be finite, got inf\n"
-        )
-        assert not target.exists()
-        assert main(["run", str(path)]) == 0  # its CSV has no advantage column
-        assert capsys.readouterr().err == ""
+    def test_heatmap_with_an_infinite_cell(self, row_ids=_rows("infinite-cell")):
+        assert _faults(row_ids) == []
+        # Its CSV has no advantage column.
+        code, _, err, _ = run(("run", "{config}"), REFUSED[row_ids[0]].config)
+        assert (code, err) == (0, "")
 
-    def test_sweep_heatmap_needs_one_q_value(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"model": "sweep", "params": dict(_SWP, q_values=[3, 5])}))
-        assert main(["run", str(path), "--format", "svg"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: sweep heatmap needs exactly one q value; got 2 (filter the grid first)\n"
-        )
+    def test_sweep_heatmap_needs_one_q_value(self, row_ids=_rows("sweep-heatmap")):
+        assert _faults(row_ids) == []
 
-    @pytest.mark.parametrize("argv,output", [
-        (["scenario", "paper-aggregate", "--chart", "heatmap"], None),
-        (["run", "config.json", "--chart", "line"], {"format": "csv"}),
-        (["run", "config.json", "--format", "csv", "--chart", "line"], {"format": "svg"}),
-        (["scenario", "paper-aggregate", "--format", "svg", "--precision", "3"], None),
-        (["scenario", "paper-aggregate", "--format", "svg", "--precision", "18"], None),
-        (["run", "config.json", "--precision", "3"], {"format": "svg"}),
-    ], ids=["scenario", "run-csv-config", "run-csv-flag",
-            "precision-svg-flag", "precision-svg-flag-out-of-range", "precision-svg-config"])
-    def test_chart_needs_svg_output(self, tmp_path, monkeypatch, capsys, argv, output):
-        # And its mirror: --precision needs CSV output.
-        monkeypatch.chdir(tmp_path)
-        config = {"model": "aggregate", "params": _AGG, "output": output}
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        assert main([*argv, "--out", "out.csv"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        if "--chart" in argv:
-            assert captured.err == "error: --chart needs SVG output, got format 'csv'\n"
-        else:
-            assert captured.err == "error: --precision needs CSV output, got format 'svg'\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    @pytest.mark.parametrize("row_id", _rows("chart-needs-svg"), ids=_case)
+    def test_chart_needs_svg_output(self, row_id):
+        assert check(row_id) is None
 
-    def test_precision_flag_out_of_range(self, capsys):
-        assert main(["scenario", "paper-aggregate", "--precision", "18"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: precision must lie in [0, 17], got 18\n"
+    def test_precision_flag_out_of_range(self, row_ids=_rows("precision-flag")):
+        assert _faults(row_ids) == []
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -1308,72 +871,6 @@ class TestMainBranches:
         assert captured.err == "error: golden checks failed\n"
 
 
-_COMMAND_CHOICES = "(choose from 'run', 'scenario', 'list-scenarios', 'verify')"
-_BIG_PRECISION = "9" * 5000
-
-# argv the CLI refuses, each with its one stderr line and exit 1.  The lines
-# are argparse's, so the reader that replaced it says the same.
-_REFUSED_ARGV = [
-    pytest.param([], "the following arguments are required: command", id="no-command"),
-    pytest.param(["--bogus"], "the following arguments are required: command",
-                 id="no-command-after-option"),
-    pytest.param(["scenario"], "the following arguments are required: name", id="no-name"),
-    pytest.param(["run"], "the following arguments are required: config_path",
-                 id="no-config-path"),
-    pytest.param(["frobnicate"], f"argument command: invalid choice: 'frobnicate' "
-                 f"{_COMMAND_CHOICES}", id="bad-command"),
-    pytest.param(["frobnicate", "--help"], f"argument command: invalid choice: 'frobnicate' "
-                 f"{_COMMAND_CHOICES}", id="bad-command-then-help"),
-    pytest.param(["--", "scenario", "paper-aggregate"], f"argument command: invalid choice: "
-                 f"'--' {_COMMAND_CHOICES}", id="dashes-as-command"),
-    pytest.param(["scenario", "paper-aggregate", "--format", "x"],
-                 "argument --format: invalid choice: 'x' (choose from 'csv', 'svg')",
-                 id="bad-format"),
-    pytest.param(["scenario", "paper-aggregate", "--format", "svg", "--chart", "pie"],
-                 "argument --chart: invalid choice: 'pie' "
-                 "(choose from 'line', 'multi-line', 'heatmap')", id="bad-chart"),
-    pytest.param(["scenario", "paper-aggregate", "--precision", "x"],
-                 "argument --precision: invalid int value: 'x'", id="bad-int"),
-    pytest.param(["scenario", "paper-aggregate", "--precision", _BIG_PRECISION],
-                 f"argument --precision: invalid int value: {_BIG_PRECISION!r}",
-                 id="int-over-digit-limit"),
-    pytest.param(["scenario", "paper-aggregate", "--precision", "-1"],
-                 "precision must lie in [0, 17], got -1", id="negative-precision"),
-    pytest.param(["scenario", "--precision", "x", "--help"],
-                 "argument --precision: invalid int value: 'x'", id="bad-int-then-help"),
-    pytest.param(["scenario", "paper-aggregate", "--out"],
-                 "argument --out: expected one argument", id="out-without-value"),
-    pytest.param(["scenario", "paper-aggregate", "--out", "--format", "svg"],
-                 "argument --out: expected one argument", id="out-before-flag"),
-    pytest.param(["scenario", "paper-aggregate", "--out", "-x"],
-                 "argument --out: expected one argument", id="out-before-option"),
-    pytest.param(["scenario", "paper-aggregate", "--out", "--", "x"],
-                 "argument --out: expected one argument", id="out-before-dashes"),
-    pytest.param(["scenario", "paper-aggregate", "--bogus"],
-                 "unrecognized arguments: --bogus", id="unknown-flag"),
-    pytest.param(["scenario", "paper-aggregate", "b"],
-                 "unrecognized arguments: b", id="second-positional"),
-    pytest.param(["verify", "b"], "unrecognized arguments: b", id="verify-positional"),
-    pytest.param(["--bogus", "scenario", "paper-aggregate"],
-                 "unrecognized arguments: --bogus", id="unknown-flag-before-command"),
-    pytest.param(["--x", "verify", "--y", "b", "--z=3", "-p"],
-                 "unrecognized arguments: --x --y b --z=3 -p", id="unknown-in-order"),
-    pytest.param(["verify", "--"], "unrecognized arguments: --", id="verify-dashes"),
-    pytest.param(["scenario", "a", "--bogus", "--", "b"],
-                 "unrecognized arguments: --bogus -- b", id="dashes-apart-from-name"),
-    pytest.param(["scenario", "paper-aggregate", "--", "--out", "x"],
-                 "unrecognized arguments: --out x", id="flag-after-dashes"),
-    pytest.param(["list-scenarios", "--expand=1"],
-                 "argument --expand: ignored explicit argument '1'", id="switch-with-value"),
-    pytest.param(["--help=x"], "argument -h/--help: ignored explicit argument 'x'",
-                 id="help-with-value"),
-    pytest.param(["-help"], "argument -h/--help: ignored explicit argument 'elp'",
-                 id="short-help-with-value"),
-    pytest.param(["scenario", "paper-aggregate", "--=x"],
-                 "ambiguous option: --=x could match --help, --out, --format, --precision, "
-                 "--chart", id="ambiguous"),
-]
-
 # Each accepted argv and the plain spelling it means.
 _ACCEPTED_ARGV = [
     pytest.param(["scenario", "--form", "svg", "paper-aggregate"],
@@ -1393,30 +890,15 @@ _ACCEPTED_ARGV = [
     pytest.param(["list-scenarios", "--e"], ["list-scenarios", "--expand"], id="switch-prefix"),
 ]
 
-# Words that start with "-", each with whether argparse reads it as an argument
-# rather than an option: "-" alone, and those its ^-\d+$|^-\d*\.\d+$ matches,
-# where "$" also matches before a final newline and "\d" is any decimal digit
-# (str.isdecimal: "-٣" is a number, the superscript "-²" is not).
-_DASH_WORDS = [
-    pytest.param(word, argument, id=ascii(word)) for word, argument in [
-        ("-1", True), ("-0", True), ("-.5", True), ("-1.", False), ("-1e3", False),
-        ("--1", False), ("-", True), ("-x", False), ("-.5.5", False), ("-1\n", True),
-        ("-٣", True), ("-²", False),
-    ]
-]
+_DASH_WORDS = [pytest.param(word, argument, id=ascii(word)) for word, argument in DASH_WORDS]
 
 
 class TestArgvReader:
     """What the CLI makes of its argv; the cases pin argparse's behaviour."""
 
-    @pytest.mark.parametrize("argv,message", _REFUSED_ARGV)
-    def test_refused(self, tmp_path, monkeypatch, capsys, argv, message):
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("row_id", _rows("argv"), ids=_case)
+    def test_refused(self, row_id):
+        assert check(row_id) is None
 
     @pytest.mark.parametrize("argv,plain", _ACCEPTED_ARGV)
     def test_accepted(self, capsys, argv, plain):
@@ -1433,32 +915,22 @@ class TestArgvReader:
         assert target.read_text() == capsys.readouterr().out
 
     @pytest.mark.parametrize("word,argument", _DASH_WORDS)
-    def test_dash_word_as_flag_value(self, tmp_path, monkeypatch, capsys, word, argument):
+    def test_dash_word_as_flag_value(self, tmp_path, monkeypatch, capsys, word, argument,
+                                     row_ids=_rows("dash-flag-value")):
+        if not argument:
+            row_id = f"dash-flag-value/{word!a}"
+            assert row_id in row_ids and check(row_id) is None
+            return
         monkeypatch.chdir(tmp_path)
-        code = main(["scenario", "paper-aggregate", "--out", word])
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        if argument:
-            assert (code, captured.err) == (0, "")
-            assert main(["scenario", "paper-aggregate"]) == 0
-            assert [p.name for p in tmp_path.iterdir()] == [word]
-            assert (tmp_path / word).read_text() == capsys.readouterr().out
-        else:
-            assert (code, captured.err) == (1, "error: argument --out: expected one argument\n")
-            assert list(tmp_path.iterdir()) == []
+        assert main(["scenario", "paper-aggregate", "--out", word]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(["scenario", "paper-aggregate"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [word]
+        assert (tmp_path / word).read_text() == capsys.readouterr().out
 
-    @pytest.mark.parametrize("word,argument", _DASH_WORDS)
-    def test_dash_word_as_positional(self, capsys, word, argument):
-        assert main(["scenario", word]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        if argument:
-            assert captured.err == (
-                f"error: unknown scenario {word!r} (builtins: paper-aggregate, "
-                "paper-replicator, paper-boundary, paper-grid)\n"
-            )
-        else:
-            assert captured.err == "error: the following arguments are required: name\n"
+    @pytest.mark.parametrize("row_id", _rows("dash-positional"), ids=_case)
+    def test_dash_word_as_positional(self, row_id):
+        assert check(row_id) is None
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h"], ["--he"], ["-hh"], ["--bogus", "--help"], ["--help", "frobnicate"],
@@ -1471,17 +943,21 @@ class TestArgvReader:
         assert captured.out.startswith("usage: workmix")
         assert captured.err == ""
 
-    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys,
+                                           row_ids=_rows("console-script")):
         # The ``workmix`` script calls main() with no argument.
         assert main(["scenario", "paper-aggregate"]) == 0
         want = capsys.readouterr().out
         monkeypatch.setattr(sys, "argv", ["workmix", "scenario", "paper-aggregate"])
         assert main() == 0
         assert capsys.readouterr().out == want
-        monkeypatch.setattr(sys, "argv", ["workmix", "frobnicate"])
-        assert main() == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: argument command: invalid choice: 'frobnicate' {_COMMAND_CHOICES}\n"
-        )
+        for row in map(REFUSED.get, row_ids):  # each refused argv, here read from sys.argv
+            monkeypatch.setattr(sys, "argv", ["workmix", *row.argv])
+            code = main()
+            outcome = Outcome(code, *capsys.readouterr(), touched=[])
+            assert refusal_fault(outcome, row.code, row.line) is None
+
+
+def test_every_refused_row_is_checked_by_one_case():
+    assert sorted(_CLAIMED) == sorted(REFUSED)
+    assert not REFUSED.keys() & FROZEN.keys()

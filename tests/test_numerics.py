@@ -219,6 +219,9 @@ class TestInverse:
             inv_reg_inc_beta(-0.01, SHAPE_2_5)
         with pytest.raises(DomainError):
             inv_reg_inc_beta(1.01, SHAPE_2_5)
+        for target in (0.0, 1.0):  # the search that starts the inverse needs 0 < target < 1
+            with pytest.raises(DomainError, match="locate_quantile requires target in"):
+                workmix.numerics.locate_quantile(target, SHAPE_2_5)
 
 
 def bisection_inverse(target, shape):
@@ -431,6 +434,11 @@ class TestBisect:
     def test_exact_zero_at_endpoint(self):
         assert bisect_root(lambda x: x - 0.5, 0.5, 2.0, 1e-6) == 0.5
         assert bisect_root(lambda x: x - 2.0, 0.5, 2.0, 1e-6) == 2.0
+
+    def test_stops_at_adjacent_doubles(self):
+        # No double squares to exactly 2, and no width reaches a tolerance this small.
+        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-300)
+        assert root in (1.414213562373095, 1.4142135623730951)
 
     def test_bracket_error(self):
         with pytest.raises(BracketError):

@@ -82,8 +82,10 @@ class TestEmptyInput:
          "multi_line_chart requires non-empty series"),
         (lambda: svgplot.heatmap([], [1.0], [], "x", "y"), "heatmap requires non-empty axes"),
         (lambda: svgplot.heatmap([1.0], [], [[]], "x", "y"), "heatmap requires non-empty axes"),
+        (lambda: svgplot.heatmap([1.0, 2.0], [0.5], [[1.0], [2.0, 3.0]], "x", "y"),
+         "cells must be len(x_values) rows of len(y_values)"),
     ], ids=["line", "multi-line-no-series", "multi-line-empty-series", "heatmap-no-x",
-            "heatmap-no-y"])
+            "heatmap-no-y", "heatmap-cells-shape"])
     def test_message(self, render, message):
         with pytest.raises(DomainError) as excinfo:
             render()
