@@ -601,8 +601,10 @@ def emit_csv(result: RunResult, precision: int = OutputSpec().precision) -> str:
     if spec is None:
         raise ValidationError(f"unknown model {result.model!r}")
 
+    fixed = f".{precision}f"
+
     def num(value: float) -> str:
-        return f"{value:.{precision}f}"
+        return format(value, fixed)
 
     return "\n".join([spec.header, *spec.rows(result.data, num)]) + "\n"
 
@@ -671,11 +673,16 @@ def _write_output(document: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(document)
         return
+    import errno
     import tempfile  # here, not at the top: it adds about 8 ms to every start-up
 
     umask = os.umask(0)
     os.umask(umask)
     try:
+        # A directory is refused here: os.replace would report "dir/" as not
+        # a directory and "." as busy.
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".workmix-")
         try:
             with open(fd, "w", encoding="utf-8", newline="") as handle:
@@ -723,7 +730,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     with open(args.config_path, "r", encoding="utf-8") as handle:
                         text = handle.read()
                 except OSError as exc:
-                    raise OSError(f"cannot read config {args.config_path!r}: {exc}") from None
+                    raise OSError(
+                        f"cannot read config {args.config_path!r}: {exc.strerror or exc}"
+                    ) from None
                 except UnicodeDecodeError as exc:
                     raise ParseError(
                         f"cannot read config {args.config_path!r}: not UTF-8 "

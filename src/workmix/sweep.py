@@ -24,6 +24,13 @@ year whose boundary is at or above hi is the answer without one, and only
 the years in between pay a CDF evaluation.  Where the bracket sits decides
 only how many years pay one.  Without a bracket, lo = -inf and hi = +inf,
 which is the scan itself; ``cross50`` runs it unless given a bracket.
+
+A cell costs its Beta CDF evaluations and a few float operations.
+``run_grid`` checks the grid once, not each cell, and builds no
+``ContinuousParams``: per shape it keeps offset = alpha_m - alpha_h and span
+= beta_m + beta_h, so theta_t = (offset + gamma * t) / span is
+``automation_boundary`` bit for bit.  ``cross50`` and ``run_grid`` share one
+year search, ``_first_half_year``.
 """
 
 from __future__ import annotations
@@ -32,13 +39,10 @@ import math
 from collections import namedtuple
 
 from ._calendar import HORIZON_YEARS, START_YEAR
-from .boundary import (
-    DEFAULT_BOUNDARY,
-    ContinuousParams,
-    _share_below,
-    automated_share,
-    automation_boundary,
-)
+from .boundary import DEFAULT_BOUNDARY, ContinuousParams, _share_below
+# Not called here: bound so that ``workmix.sweep.automated_share`` still names the
+# boundary's function, as the benchmark's tracer expects.
+from .boundary import automated_share
 from .errors import ParamError
 from .numerics import BetaShape, inv_reg_inc_beta, locate_quantile, reg_inc_beta
 
@@ -74,26 +78,35 @@ class GridSpec(namedtuple("GridSpec", "p_values q_values gamma_values horizon_ye
     def __new__(cls, p_values, q_values, gamma_values, horizon_years, initial_share_target,
                 alpha_h=DEFAULT_BOUNDARY.alpha_h, beta_h=DEFAULT_BOUNDARY.beta_h,
                 beta_m=DEFAULT_BOUNDARY.beta_m, start_year=START_YEAR):
-        _require_ascending("p_values", p_values)
-        _require_ascending("q_values", q_values)
-        _require_ascending("gamma_values", gamma_values)
-        if horizon_years < 1:
-            raise ParamError(f"horizon_years must be >= 1, got {horizon_years}")
-        if not 0.0 < initial_share_target < 1.0:
-            raise ParamError(
-                f"initial_share_target must lie in (0, 1), got {initial_share_target}"
-            )
-        if not beta_h > 0:
-            raise ParamError(f"beta_h must be positive, got {beta_h}")
-        if not beta_m > 0:
-            raise ParamError(f"beta_m must be positive, got {beta_m}")
-        if not math.isfinite(beta_h + beta_m):
-            raise ParamError(f"beta_h + beta_m must be finite, got {beta_h + beta_m}")
-        return tuple.__new__(
+        return _checked(tuple.__new__(
             cls,
             (p_values, q_values, gamma_values, horizon_years, initial_share_target,
              alpha_h, beta_h, beta_m, start_year),
+        ))
+
+
+def _checked(grid: GridSpec) -> GridSpec:
+    """The grid itself once its invariants hold; ParamError otherwise.
+
+    ``GridSpec()`` checks through here, and so does ``run_grid``, because
+    ``_replace`` and ``_make`` build a grid without ``__new__``.
+    """
+    _require_ascending("p_values", grid.p_values)
+    _require_ascending("q_values", grid.q_values)
+    _require_ascending("gamma_values", grid.gamma_values)
+    if grid.horizon_years < 1:
+        raise ParamError(f"horizon_years must be >= 1, got {grid.horizon_years}")
+    if not 0.0 < grid.initial_share_target < 1.0:
+        raise ParamError(
+            f"initial_share_target must lie in (0, 1), got {grid.initial_share_target}"
         )
+    if not grid.beta_h > 0:
+        raise ParamError(f"beta_h must be positive, got {grid.beta_h}")
+    if not grid.beta_m > 0:
+        raise ParamError(f"beta_m must be positive, got {grid.beta_m}")
+    if not math.isfinite(grid.beta_h + grid.beta_m):
+        raise ParamError(f"beta_h + beta_m must be finite, got {grid.beta_h + grid.beta_m}")
+    return grid
 
 
 GridCell = namedtuple("GridCell", "p q gamma alpha_m_used final_share cross50_year")
@@ -120,6 +133,31 @@ def _median_bracket(shape: BetaShape) -> tuple[float, float]:
     return _NO_BRACKET
 
 
+def _first_half_year(
+    offset: float, span: float, gamma: float, shape: BetaShape, horizon: int,
+    lo: float, hi: float,
+) -> int | None:
+    """Offset t of the first year whose share reaches one half, or None.
+
+    The boundary is theta_t = (offset + gamma * t) / span, bit for bit
+    ``automation_boundary`` with offset = alpha_m - alpha_h and span =
+    beta_m + beta_h; [lo, hi] is a median bracket or ``_NO_BRACKET``.
+    """
+    # The first year whose boundary reaches lo: the closed form, clamped to
+    # the horizon before ceil (it may be infinite), then stepped into place.
+    estimate = (lo * span - offset) / gamma
+    start = math.ceil(min(max(estimate, 0.0), horizon + 1.0))
+    while start > 0 and (offset + gamma * (start - 1)) / span >= lo:
+        start -= 1
+    while start <= horizon and (offset + gamma * start) / span < lo:
+        start += 1
+    for t in range(start, horizon + 1):
+        theta = (offset + gamma * t) / span
+        if theta >= hi or _share_below(theta, shape) >= 0.5:
+            return t
+    return None
+
+
 def cross50(
     params: ContinuousParams,
     horizon: int,
@@ -135,58 +173,44 @@ def cross50(
     """
     if horizon < 1:
         raise ParamError(f"horizon must be >= 1, got {horizon}")
-    lo, hi = bracket
-    # The first year whose boundary reaches lo: the closed form, clamped to
-    # the horizon before ceil (it may be infinite), then stepped into place.
-    span = params.beta_m + params.beta_h
-    estimate = (lo * span - (params.alpha_m - params.alpha_h)) / params.gamma
-    start = math.ceil(min(max(estimate, 0.0), horizon + 1.0))
-    while start > 0 and automation_boundary(start - 1, params) >= lo:
-        start -= 1
-    while start <= horizon and automation_boundary(start, params) < lo:
-        start += 1
-    for t in range(start, horizon + 1):
-        theta = automation_boundary(t, params)
-        if theta >= hi or _share_below(theta, params.shape) >= 0.5:
-            return params.start_year + t
-    return None
+    t = _first_half_year(
+        params.alpha_m - params.alpha_h, params.beta_m + params.beta_h, params.gamma,
+        params.shape, horizon, *bracket,
+    )
+    return None if t is None else params.start_year + t
 
 
 def run_grid(grid: GridSpec) -> list[GridCell]:
-    """Evaluate every cell, emitted row-major: p outer, q middle, gamma inner."""
+    """Evaluate every cell, emitted row-major: p outer, q middle, gamma inner.
+
+    The grid is checked once, as ``GridSpec()`` checks it; each cell then
+    costs its final-share CDF, its half-share year and a few float operations.
+    """
+    _checked(grid)
+    horizon, start_year = grid.horizon_years, grid.start_year
+    span = grid.beta_m + grid.beta_h
     cells = []
     for p in grid.p_values:
         for q in grid.q_values:
             shape = BetaShape(float(p), float(q))
             theta_start = inv_reg_inc_beta(grid.initial_share_target, shape)
-            alpha_m = grid.alpha_h + (grid.beta_m + grid.beta_h) * theta_start
-            if not math.isfinite(alpha_m - grid.alpha_h):
+            alpha_m = grid.alpha_h + span * theta_start
+            offset = alpha_m - grid.alpha_h
+            if not math.isfinite(offset):
                 raise ParamError(
                     "the recalibrated intercept alpha_h + (beta_h + beta_m) * theta_0 "
                     f"overflows a double at p={p}, q={q}, where theta_0 is the Beta(p, q) "
                     "quantile at initial_share_target"
                 )
-            bracket = _median_bracket(shape)
+            lo, hi = _median_bracket(shape)
             for gamma in grid.gamma_values:
-                params = ContinuousParams(
-                    alpha_h=grid.alpha_h,
-                    beta_h=grid.beta_h,
-                    alpha_m=alpha_m,
-                    beta_m=grid.beta_m,
-                    gamma=float(gamma),
-                    shape=shape,
-                    start_year=grid.start_year,
-                )
-                cells.append(
-                    GridCell(
-                        p=p,
-                        q=q,
-                        gamma=gamma,
-                        alpha_m_used=alpha_m,
-                        final_share=automated_share(grid.horizon_years, params),
-                        cross50_year=cross50(params, grid.horizon_years, bracket=bracket),
-                    )
-                )
+                rate = float(gamma)
+                t = _first_half_year(offset, span, rate, shape, horizon, lo, hi)
+                cells.append(GridCell(
+                    p, q, gamma, alpha_m,
+                    _share_below((offset + rate * horizon) / span, shape),
+                    None if t is None else start_year + t,
+                ))
     return cells
 
 

@@ -482,7 +482,7 @@ _refuse("list-infinity/gamma-values", _RUN, "error: gamma_values[1] must be a fi
 # Exit codes: 2 for a file the CLI cannot read or write, 1 for anything it refuses.
 _OTHER_CHART = "error: chart 'heatmap' does not apply to model 'aggregate'"
 _refuse("exit-codes/missing-config", ("run", "{dir}/missing.json"), "error: cannot read config "
-        "'{dir}/missing.json': [Errno 2] No such file or directory: '{dir}/missing.json'", code=2)
+        "'{dir}/missing.json': No such file or directory", code=2)
 _refuse("exit-codes/bad-config", _RUN, "error: missing required key 'beta' in aggregate params",
         {"model": "aggregate", "params": {"alpha": 2}})
 _refuse("exit-codes/unknown-scenario", ("scenario", "nope"), "error: unknown scenario 'nope' "
@@ -495,6 +495,10 @@ _refuse("existing-file/chart-of-another-model",
         _OTHER_CHART, "keep me\n")
 _refuse("out-directory/existing", _AGGREGATE + ("--out", "{config}"),
         "error: cannot write '{config}': Is a directory", DIRECTORY, code=2)
+_refuse("out-directory/trailing-slash", _AGGREGATE + ("--out", "{dir}/"),
+        "error: cannot write '{dir}/': Is a directory", code=2)
+_refuse("out-directory/dot", _AGGREGATE + ("--out", "."),
+        "error: cannot write '.': Is a directory", code=2)
 _refuse("missing-out-directory/shares", _AGGREGATE + ("--out", "{dir}/missing/shares.csv"),
         "error: cannot write '{dir}/missing/shares.csv': No such file or directory", code=2)
 # An empty --out neither falls back to output.path nor reaches a write.

@@ -80,6 +80,18 @@ class TestGridSpec:
         with pytest.raises(ParamError, match="must be positive"):
             GridSpec(*axes, 20, 0.10)
 
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"gamma_values": (0.0,)}, id="gamma-zero"),
+        pytest.param({"gamma_values": (-0.01,)}, id="gamma-negative"),
+        pytest.param({"gamma_values": (math.nan,)}, id="gamma-nan"),
+        pytest.param({"beta_h": 0}, id="beta_h-zero"),
+        pytest.param({"beta_m": 0}, id="beta_m-zero"),
+    ])
+    def test_run_grid_refuses_a_grid_built_past_the_checks(self, fields):
+        # _replace builds a grid without GridSpec.__new__; run_grid checks it again.
+        with pytest.raises(ParamError, match="must be positive"):
+            run_grid(DEFAULT_GRID._replace(**fields))
+
 
 class TestRunGrid:
     def test_row_major_order(self):
@@ -211,9 +223,13 @@ class TestCross50:
 
 
 def assert_cells_match_scan(grid, cells):
+    """Each cell equals the public per-cell API exactly, and the year the scan's."""
     for cell in cells:
-        want = scan_cross50(cell_params(grid, cell), grid.horizon_years)
+        params = cell_params(grid, cell)
+        want = scan_cross50(params, grid.horizon_years)
         assert cell.cross50_year == want, cell
+        assert cell.cross50_year == cross50(params, grid.horizon_years), cell
+        assert cell.final_share == automated_share(grid.horizon_years, params), cell
 
 
 def axis(start, step, count):
